@@ -48,12 +48,14 @@
 //! kernels broadcast them, which is bit-identical to recomputing them
 //! per element.
 //!
-//! The softmax that *precedes* the fold stays scalar by design: its
-//! `exp()` is a libm call with no lane-reproducible vector counterpart,
-//! so vectorising it would break the cross-tier contract. The fold —
-//! five float ops per pixel per sample over the whole
-//! `(classes, pixels)` slab — is where the scalar time went
-//! (ROADMAP: the last scalar hot loop).
+//! The softmax that *precedes* the fold stays outside the tier ladder
+//! by design: its `exp()` is a libm call with no lane-reproducible
+//! vector counterpart, so a per-tier vector `exp` would break the
+//! cross-tier contract. `el_nn::loss::softmax_in_place` instead walks
+//! the `(classes, pixels)` slab in cache order — pixel blocks with the
+//! class loop outer and stack-resident max/sum rows — which keeps each
+//! pixel's operation order, hence its bits, while every pass reads a
+//! class plane contiguously rather than striding across planes.
 
 /// A 64-byte-aligned `f32` buffer for Welford `mean`/`m2` slabs.
 ///

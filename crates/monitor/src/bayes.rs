@@ -3,7 +3,7 @@
 //! # Engine design
 //!
 //! A verified crop costs `samples` stochastic passes in the naive
-//! formulation. The engine cuts that down four ways, none of which
+//! formulation. The engine cuts that down five ways, none of which
 //! changes the statistics' semantics:
 //!
 //! 1. **Invariant-prefix caching.** No dropout layer precedes the MSDnet's
@@ -55,6 +55,17 @@
 //!    across **all** crops into two column-stacked head GEMMs
 //!    ([`el_seg::MsdNet::mc_sample_stacked`]) — both strategies are
 //!    bit-identical and pinned by the same property tests.
+//! 5. **Kept-interior evaluation.** A tiled whole-frame pass keeps only
+//!    each tile's interior; its margin exists to feed the dilated
+//!    branch convolutions' taps. The tiled pass therefore computes
+//!    the prefix at the kept interior only
+//!    ([`el_seg::MsdNet::mc_prefix_batch_windowed`]: an im2col over an
+//!    output window of the crop) and runs every Monte-Carlo sample's
+//!    suffix on those kept columns, keyed at the keep's frame origin.
+//!    The heads are 1x1, masks are keyed by global coordinates and each
+//!    GEMM column reduces over `k` in a fixed order, so the kept pixels'
+//!    statistics are bit-identical to computing the whole tile and
+//!    discarding its margin — without paying for the margin.
 //!
 //! The pre-optimization path — naive scalar convolution, one RNG stream,
 //! strictly sequential — survives as [`bayesian_segment_tensor_reference`]

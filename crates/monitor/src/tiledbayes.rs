@@ -27,6 +27,17 @@
 //! (property-tested), so partial coverage is a strict prefix of the exact
 //! full-frame answer — not an approximation of it.
 //!
+//! **Kept-interior evaluation.** Each tile computes only what it keeps:
+//! the invariant prefix is evaluated at the tile's kept interior
+//! ([`MsdNet::mc_prefix_batch_windowed`] — the margin feeds the branch
+//! convolutions' taps but is never itself computed), and every
+//! Monte-Carlo sample's suffix runs on those kept columns with the mask
+//! origin shifted to the keep's top-left. The heads are 1x1 and the
+//! masks coordinate-keyed, so the kept statistics are the same bits the
+//! whole tile would produce there, and stitching is a plain copy. At the
+//! paper geometry (256 px frames, 128 px tiles, 8 px margin) this skips
+//! the 55.6% of tile columns a full-tile pass computed and discarded.
+//!
 //! The audit sweep — and only the audit sweep — may additionally opt
 //! into an **approximate contract**
 //! ([`bayesian_segment_tiled_precise_with_clock`]): the per-tile
@@ -45,6 +56,7 @@ use el_scene::Image;
 use el_seg::data::image_to_tensor;
 use el_seg::{plan_tiles, prioritize_tiles, MsdNet, Tile, TileConfig};
 
+use el_nn::layers::Window;
 use el_nn::Workspace;
 
 use crate::bayes::{mc_stats_prefixed, mc_stats_prefixed_with, BayesStats, WsPool};
@@ -134,10 +146,24 @@ pub fn bayesian_segment_tiled(
     )
 }
 
+/// Copies every channel of `src` into `dst` with its top-left pixel at
+/// `origin = (row, col)`.
+fn paste(dst: &mut Tensor, src: &Tensor, origin: (usize, usize)) {
+    let (sw, dw) = (src.width(), dst.width());
+    for c in 0..src.channels() {
+        let dst = dst.channel_mut(c);
+        for (y, row) in src.channel(c).chunks_exact(sw).enumerate() {
+            let at = (origin.0 + y) * dw + origin.1;
+            dst[at..at + sw].copy_from_slice(row);
+        }
+    }
+}
+
 /// Pixel-column budget of one batched prefix group: consecutive admitted
-/// tiles whose combined pixel count stays within it share one
-/// column-stacked prefix GEMM per branch ([`MsdNet::mc_prefix_batch`]).
-/// Purely a performance knob — any partition is bit-identical.
+/// tiles whose combined kept-pixel count stays within it share one
+/// column-stacked prefix GEMM per branch
+/// ([`MsdNet::mc_prefix_batch_windowed`]). Purely a performance knob —
+/// any partition is bit-identical.
 const PREFIX_GROUP_COLUMNS: usize = 32 * 1024;
 
 /// Hard cap on tiles per prefix group, whatever the tile size. The clock
@@ -203,7 +229,9 @@ pub fn bayesian_segment_tiled_with_clock(
 ///   dropout masks and fold order are unchanged;
 /// - tiles selected by [`crosscheck_tile`] (a pure seed-chained hash —
 ///   the same tiles every replay) are re-run through the exact path;
-///   the worst observed µ/σ divergence is reported in the outcome;
+///   the worst observed µ/σ divergence over the tile's **kept** pixels
+///   (the only ones either pass computes, and the only ones the report
+///   uses) is reported in the outcome;
 /// - a cross-check divergence beyond the policy's tolerance is a
 ///   **hard failure**: that tile keeps its exact statistics and every
 ///   subsequent tile runs exact (`el-metrics` counts the fallback), so
@@ -272,8 +300,8 @@ pub fn bayesian_segment_tiled_precise_with_clock(
     };
     // Tiles are admitted in cache-budgeted groups whose invariant
     // prefixes share one batched engine invocation
-    // ([`MsdNet::mc_prefix_batch`] — a single column-stacked im2col GEMM
-    // per branch). The budget clock is polled once per tile, at
+    // ([`MsdNet::mc_prefix_batch_windowed`] — a single column-stacked
+    // im2col GEMM per branch). The budget clock is polled once per tile, at
     // admission; successive poll deltas bracket the processing of a
     // group, yielding the per-tile cost samples behind the predictive
     // stop (`elapsed + (pending + 1) · avg >= budget`). Grouping is a
@@ -292,8 +320,7 @@ pub fn bayesian_segment_tiled_precise_with_clock(
         let mut group: Vec<usize> = Vec::new();
         let mut cols = 0usize;
         while pos < order.len() {
-            let tile = tiles[order[pos]];
-            let hw = (tile.rect.w * tile.rect.h) as usize;
+            let hw = tiles[order[pos]].keep_window().area();
             if !group.is_empty()
                 && (group.len() >= PREFIX_GROUP_TILES || cols + hw > PREFIX_GROUP_COLUMNS)
             {
@@ -333,10 +360,13 @@ pub fn bayesian_segment_tiled_precise_with_clock(
             .map(|&i| image_to_tensor(&image.crop(tiles[i].rect).expect("tile within image")))
             .collect();
         let refs: Vec<&Tensor> = inputs.iter().collect();
-        let fused = net.mc_prefix_batch(&refs, &mut ws);
+        let windows: Vec<Window> = group.iter().map(|&i| tiles[i].keep_window()).collect();
+        let fused = net.mc_prefix_batch_windowed(&refs, &windows, &mut ws);
         for (&i, f) in group.iter().zip(&fused) {
-            let tile = tiles[i];
-            let origin = (tile.rect.y as usize, tile.rect.x as usize);
+            // The suffix runs on the kept columns only, keyed at the
+            // keep's frame origin.
+            let keep = tiles[i].keep_rect();
+            let origin = (keep.y as usize, keep.x as usize);
             let tile_sw = el_metrics::Stopwatch::start();
             // The cross-check selection hashes the *plan* index `i`, not
             // the verification position, so the checked tile set is
@@ -378,31 +408,14 @@ pub fn bayesian_segment_tiled_precise_with_clock(
                 None => mc_stats_prefixed(net, f, samples, seed, origin, true, &pool),
             };
             el_metrics::registry().tile_cost.record(tile_sw);
-            let (tw, th) = (tile.rect.w as usize, tile.rect.h as usize);
-            debug_assert_eq!(stats.mean.shape(), (classes, th, tw));
-            let (tx, ty) = (tile.rect.x as usize, tile.rect.y as usize);
-            for c in 0..classes {
-                let src_mean = stats.mean.channel(c);
-                let src_std = stats.std.channel(c);
-                let dst_mean = mean.channel_mut(c);
-                for yy in tile.keep_y0..tile.keep_y1 {
-                    let src = yy * tw;
-                    let dst = (ty + yy) * w + tx;
-                    dst_mean[dst + tile.keep_x0..dst + tile.keep_x1]
-                        .copy_from_slice(&src_mean[src + tile.keep_x0..src + tile.keep_x1]);
-                }
-                let dst_std = std.channel_mut(c);
-                for yy in tile.keep_y0..tile.keep_y1 {
-                    let src = yy * tw;
-                    let dst = (ty + yy) * w + tx;
-                    dst_std[dst + tile.keep_x0..dst + tile.keep_x1]
-                        .copy_from_slice(&src_std[src + tile.keep_x0..src + tile.keep_x1]);
-                }
-            }
-            for yy in tile.keep_y0..tile.keep_y1 {
-                for xx in tile.keep_x0..tile.keep_x1 {
-                    covered[(tx + xx, ty + yy)] = true;
-                }
+            debug_assert_eq!(
+                stats.mean.shape(),
+                (classes, keep.h as usize, keep.w as usize)
+            );
+            paste(&mut mean, &stats.mean, origin);
+            paste(&mut std, &stats.std, origin);
+            for p in keep.pixels() {
+                covered[(p.x as usize, p.y as usize)] = true;
             }
             verified.push(i);
         }
@@ -466,6 +479,97 @@ mod tests {
         let whole = bayesian_segment(&net, &img, 5, 11);
         assert_eq!(tiled.stats.mean.as_slice(), whole.mean.as_slice());
         assert_eq!(tiled.stats.std.as_slice(), whole.std.as_slice());
+    }
+
+    /// 64 px frames at 32 px tiles with a 4 px margin cut each axis at
+    /// [0, 24, 32]: the clamped last tile squeezes the middle tile's
+    /// keep to an 8 px sliver (keep widths 28, 8, 28).
+    fn sliver_cfg() -> TileConfig {
+        TileConfig {
+            tile: 32,
+            margin: 4,
+        }
+    }
+
+    #[test]
+    fn sliver_keep_plan_is_what_the_tests_below_exercise() {
+        let tiles = plan_tiles(64, 64, sliver_cfg());
+        let widths: Vec<i64> = tiles[..3].iter().map(|t| t.keep_rect().w).collect();
+        assert_eq!(widths, [28, 8, 28]);
+    }
+
+    #[test]
+    fn sliver_keep_unbudgeted_tiled_equals_untiled_bitwise() {
+        let net = net();
+        let img = image(64, 64);
+        let tiled = bayesian_segment_tiled(
+            &net,
+            &img,
+            sliver_cfg(),
+            5,
+            23,
+            Duration::from_secs(3600),
+            &[],
+        );
+        assert!(tiled.is_complete());
+        assert!(tiled.covered.iter().all(|&c| c));
+        let whole = bayesian_segment(&net, &img, 5, 23);
+        let bits = |t: &Tensor| t.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&tiled.stats.mean), bits(&whole.mean));
+        assert_eq!(bits(&tiled.stats.std), bits(&whole.std));
+    }
+
+    #[test]
+    fn sliver_keep_truncated_coverage_equals_the_whole_frame() {
+        let net = net();
+        let img = image(64, 64);
+        let whole = bayesian_segment(&net, &img, 5, 23);
+        // Priority on the sliver column, one clock tick per admission
+        // poll: the budget truncates the sweep partway through the plan.
+        let sliver = Rect::new(30, 0, 4, 64);
+        let mut t = -1.0f64;
+        let out = bayesian_segment_tiled_with_clock(
+            &net,
+            &img,
+            sliver_cfg(),
+            5,
+            23,
+            4.5,
+            &[sliver],
+            move || {
+                t += 1.0;
+                t
+            },
+        );
+        assert!(out.tiles_verified > 0 && !out.is_complete());
+        let (classes, h, w) = whole.mean.shape();
+        let mut covered = 0usize;
+        for y in 0..h {
+            for x in 0..w {
+                for c in 0..classes {
+                    let i = (c * h + y) * w + x;
+                    let (m, s) = (out.stats.mean.as_slice()[i], out.stats.std.as_slice()[i]);
+                    if out.covered[(x, y)] {
+                        assert_eq!(m.to_bits(), whole.mean.as_slice()[i].to_bits());
+                        assert_eq!(s.to_bits(), whole.std.as_slice()[i].to_bits());
+                    } else {
+                        assert_eq!((m, s), (0.0, 0.0), "uncovered pixels stay zero");
+                    }
+                }
+                covered += usize::from(out.covered[(x, y)]);
+            }
+        }
+        // Coverage is exactly the union of the verified tiles' keeps.
+        let kept: i64 = out
+            .verified
+            .iter()
+            .map(|&i| out.tiles[i].keep_rect().area())
+            .sum();
+        assert_eq!(covered as i64, kept);
+        // The sliver tiles were verified first.
+        assert!(out.verified[..3]
+            .iter()
+            .all(|&i| out.tiles[i].keep_rect().w == 8));
     }
 
     #[test]

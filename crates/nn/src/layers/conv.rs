@@ -238,7 +238,7 @@ impl Conv2d {
             );
         } else {
             let mut col = ws.take_zeroed(k_dim * hw);
-            self.im2col(input, &mut col, hw, 0);
+            self.im2col(input, Window::full(input), &mut col, hw, 0);
             gemm_bias(
                 &self.weight,
                 &col,
@@ -261,31 +261,71 @@ impl Conv2d {
     /// of once per crop. Inputs may have different spatial sizes; they
     /// only share the channel count.
     ///
-    /// The batch is processed in consecutive **cache-budgeted groups**
-    /// ([`BATCH_COL_BUDGET`]): stacking is a win only while the stacked
-    /// im2col matrix stays cache-resident — past that the three passes
-    /// over it (zero, lower, multiply) start streaming through the outer
-    /// cache levels and the batched GEMM loses to per-crop GEMMs. Small
-    /// crops therefore share wide GEMMs while large crops degrade
-    /// gracefully to one GEMM each, and a singleton group writes its
-    /// output tensor directly (no unstack copy).
-    ///
-    /// Because every output element accumulates its reduction over `k` in
-    /// the same strict order regardless of which column of the stacked
-    /// matrix it lives in, each returned tensor is **bit-identical** to
-    /// `forward_with` on the corresponding input (property-tested).
+    /// This is [`Conv2d::forward_batch_windowed`] with every input's
+    /// window the whole input.
     ///
     /// # Panics
     ///
     /// Panics if any input does not have [`Conv2d::in_channels`] channels.
     pub fn forward_batch_with(&self, inputs: &[&Tensor], ws: &mut Workspace) -> Vec<Tensor> {
-        for input in inputs {
+        let windows: Vec<Window> = inputs.iter().map(|t| Window::full(t)).collect();
+        self.forward_batch_windowed(inputs, &windows, ws)
+    }
+
+    /// [`Conv2d::forward_batch_with`] restricted to an output window per
+    /// input: output `i` has shape `(out_channels, windows[i].h,
+    /// windows[i].w)` and holds exactly the pixels of that window of the
+    /// whole-input output. Taps still read the whole input (and its
+    /// "same" zero padding), so a window that stays `radius` pixels clear
+    /// of a crop's cut edges computes what the uncut frame would there —
+    /// the tiled audit computes each tile's prefix at its kept interior
+    /// only.
+    ///
+    /// The batch is processed in consecutive **cache-budgeted groups**
+    /// ([`BATCH_COL_BUDGET`], counted in window columns): stacking is a
+    /// win only while the stacked im2col matrix stays cache-resident —
+    /// past that the three passes over it (zero, lower, multiply) start
+    /// streaming through the outer cache levels and the batched GEMM
+    /// loses to per-crop GEMMs. Small crops therefore share wide GEMMs
+    /// while large crops degrade gracefully to one GEMM each, and a
+    /// singleton group writes its output tensor directly (no unstack
+    /// copy).
+    ///
+    /// Because every output element accumulates its reduction over `k` in
+    /// the same strict order regardless of which column of the stacked
+    /// matrix it lives in, each returned tensor is **bit-identical** to
+    /// the same window cropped from `forward_with` on the corresponding
+    /// input (property-tested).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `windows` and `inputs` differ in length, if any input
+    /// does not have [`Conv2d::in_channels`] channels, or if a window
+    /// leaves its input.
+    pub fn forward_batch_windowed(
+        &self,
+        inputs: &[&Tensor],
+        windows: &[Window],
+        ws: &mut Workspace,
+    ) -> Vec<Tensor> {
+        assert_eq!(
+            inputs.len(),
+            windows.len(),
+            "one output window per input is required"
+        );
+        for (input, win) in inputs.iter().zip(windows) {
             assert_eq!(
                 input.channels(),
                 self.in_channels,
                 "Conv2d expected {} input channels, got {}",
                 self.in_channels,
                 input.channels()
+            );
+            assert!(
+                win.y0 + win.h <= input.height() && win.x0 + win.w <= input.width(),
+                "window {win:?} leaves the {}x{} input",
+                input.height(),
+                input.width()
             );
         }
         let k_dim = self.in_channels * self.kernel * self.kernel;
@@ -296,24 +336,21 @@ impl Conv2d {
             // Grow the group while it fits the column budget (always at
             // least one input).
             let mut group_end = group_start + 1;
-            let mut n_total = {
-                let t = inputs[group_start];
-                t.height() * t.width()
-            };
+            let mut n_total = windows[group_start].area();
             while group_end < inputs.len() {
-                let hw = inputs[group_end].height() * inputs[group_end].width();
+                let hw = windows[group_end].area();
                 if n_total + hw > col_budget {
                     break;
                 }
                 n_total += hw;
                 group_end += 1;
             }
-            let group = &inputs[group_start..group_end];
+            let group = group_start..group_end;
             let mut col = ws.take_zeroed(k_dim * n_total);
             let mut off = 0usize;
-            for input in group {
-                self.im2col(input, &mut col, n_total, off);
-                off += input.height() * input.width();
+            for i in group.clone() {
+                self.im2col(inputs[i], windows[i], &mut col, n_total, off);
+                off += windows[i].area();
             }
             let mut out = ws.take(self.out_channels * n_total);
             gemm_bias(
@@ -328,24 +365,23 @@ impl Conv2d {
             ws.give(col);
             if group.len() == 1 {
                 // Singleton group: the GEMM output is the tensor.
-                let (h, w) = (group[0].height(), group[0].width());
+                let win = windows[group_start];
                 outs.push(
-                    Tensor::from_vec(self.out_channels, h, w, out)
+                    Tensor::from_vec(self.out_channels, win.h, win.w, out)
                         .expect("workspace buffer sized to the output shape"),
                 );
             } else {
                 // Unstack the output columns into per-input tensors.
                 let mut off = 0usize;
-                for input in group {
-                    let (h, w) = (input.height(), input.width());
-                    let hw = h * w;
+                for win in &windows[group] {
+                    let hw = win.area();
                     let mut t = ws.take(self.out_channels * hw);
                     for o in 0..self.out_channels {
                         t[o * hw..(o + 1) * hw]
                             .copy_from_slice(&out[o * n_total + off..o * n_total + off + hw]);
                     }
                     outs.push(
-                        Tensor::from_vec(self.out_channels, h, w, t)
+                        Tensor::from_vec(self.out_channels, win.h, win.w, t)
                             .expect("workspace buffer sized to the output shape"),
                     );
                     off += hw;
@@ -430,18 +466,27 @@ impl Conv2d {
         out
     }
 
-    /// Lowers `input` into the (zero-initialised) im2col matrix `col`:
-    /// one row of `h*w` values per kernel tap, rows ordered `(in, ky, kx)`
-    /// — the same order the reference loop accumulates in. Out-of-image
-    /// taps stay zero ("same" padding).
+    /// Lowers the output window `win` of `input` into the
+    /// (zero-initialised) im2col matrix `col`: one row of `win.h*win.w`
+    /// values per kernel tap, rows ordered `(in, ky, kx)` — the same order
+    /// the reference loop accumulates in. Out-of-image taps stay zero
+    /// ("same" padding of the whole input, not of the window).
     ///
     /// The matrix rows have stride `row_stride` and this input's columns
     /// start at `col_off`, so a batch of inputs can lower side by side
-    /// into one matrix (`row_stride = h*w, col_off = 0` recovers the
-    /// single-input layout).
-    fn im2col(&self, input: &Tensor, col: &mut [f32], row_stride: usize, col_off: usize) {
+    /// into one matrix (`win = Window::full(input), row_stride = h*w,
+    /// col_off = 0` recovers the single-input layout).
+    fn im2col(
+        &self,
+        input: &Tensor,
+        win: Window,
+        col: &mut [f32],
+        row_stride: usize,
+        col_off: usize,
+    ) {
         let (h, w) = (input.height(), input.width());
         let pad = (self.dilation * (self.kernel - 1)) / 2;
+        let (wy, wx) = (win.y0 as isize, win.x0 as isize);
         let mut k = 0usize;
         for i in 0..self.in_channels {
             let plane = input.channel(i);
@@ -449,27 +494,59 @@ impl Conv2d {
                 let dy = (ky * self.dilation) as isize - pad as isize;
                 for kx in 0..self.kernel {
                     let dx = (kx * self.dilation) as isize - pad as isize;
-                    let row = &mut col[k * row_stride + col_off..][..h * w];
+                    let row = &mut col[k * row_stride + col_off..][..win.area()];
                     k += 1;
-                    // Valid output range for this tap (may be empty when
-                    // the receptive field exceeds the image).
-                    let y0 = (-dy).max(0) as usize;
-                    let y1 = ((h as isize - dy).min(h as isize)).max(0) as usize;
-                    let x0 = (-dx).max(0) as usize;
-                    let x1 = ((w as isize - dx).min(w as isize)).max(0) as usize;
+                    // Valid window-local output range for this tap (may
+                    // be empty when the receptive field exceeds the
+                    // image): output `(wy + y, wx + x)` reads input
+                    // `(wy + y + dy, wx + x + dx)`.
+                    let y0 = (-dy - wy).max(0) as usize;
+                    let y1 = ((h as isize - dy - wy).min(win.h as isize)).max(0) as usize;
+                    let x0 = (-dx - wx).max(0) as usize;
+                    let x1 = ((w as isize - dx - wx).min(win.w as isize)).max(0) as usize;
                     if x0 >= x1 {
                         continue;
                     }
+                    let ix0 = (wx + x0 as isize + dx) as usize;
                     for y in y0..y1 {
-                        let iy = (y as isize + dy) as usize;
-                        let ix0 = (x0 as isize + dx) as usize;
-                        let ix1 = (x1 as isize + dx) as usize;
-                        row[y * w + x0..y * w + x1]
-                            .copy_from_slice(&plane[iy * w + ix0..iy * w + ix1]);
+                        let iy = (wy + y as isize + dy) as usize;
+                        row[y * win.w + x0..y * win.w + x1]
+                            .copy_from_slice(&plane[iy * w + ix0..iy * w + ix0 + (x1 - x0)]);
                     }
                 }
             }
         }
+    }
+}
+
+/// A window of output pixels: rows `[y0, y0 + h)` and columns
+/// `[x0, x0 + w)` of a convolution's output, in input coordinates.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Window {
+    /// First row.
+    pub y0: usize,
+    /// First column.
+    pub x0: usize,
+    /// Row count.
+    pub h: usize,
+    /// Column count.
+    pub w: usize,
+}
+
+impl Window {
+    /// The whole of `input` — the default window.
+    pub fn full(input: &Tensor) -> Self {
+        Window {
+            y0: 0,
+            x0: 0,
+            h: input.height(),
+            w: input.width(),
+        }
+    }
+
+    /// Pixel count, the window's GEMM column count.
+    pub fn area(&self) -> usize {
+        self.h * self.w
     }
 }
 

@@ -22,27 +22,53 @@ pub fn softmax(logits: &Tensor) -> Tensor {
     out
 }
 
+/// Pixels per block of [`softmax_in_place`]: the block's max and sum
+/// rows live on the stack, and its `classes x SOFTMAX_BLOCK` logits (8 KB
+/// at 8 classes) stay L1-resident across the three class sweeps.
+const SOFTMAX_BLOCK: usize = 256;
+
 /// Converts logits to per-pixel softmax probabilities in place —
 /// the allocation-free variant of [`softmax`] used by the inference
 /// engine (identical arithmetic, identical results).
+///
+/// Pixels are processed in blocks of `SOFTMAX_BLOCK` (256) with the class
+/// loop outer and the pixel loop inner, so every pass walks a class
+/// plane contiguously instead of striding across planes per pixel. Each
+/// pixel still sees the per-pixel order — running max over classes in
+/// class order, then `exp(x - max)` summed in class order, then one
+/// division per class — so the result is bit-identical to a per-pixel
+/// loop (property-tested against one).
 pub fn softmax_in_place(logits: &mut Tensor) {
     let (c, h, w) = logits.shape();
     let hw = h * w;
     let data = logits.as_mut_slice();
-    for i in 0..hw {
-        let mut max = f32::NEG_INFINITY;
+    let mut max_row = [0.0f32; SOFTMAX_BLOCK];
+    let mut sum_row = [0.0f32; SOFTMAX_BLOCK];
+    let mut p0 = 0usize;
+    while p0 < hw {
+        let n = SOFTMAX_BLOCK.min(hw - p0);
+        let (max, sum) = (&mut max_row[..n], &mut sum_row[..n]);
+        max.fill(f32::NEG_INFINITY);
         for k in 0..c {
-            max = max.max(data[k * hw + i]);
+            for (m, &v) in max.iter_mut().zip(&data[k * hw + p0..][..n]) {
+                *m = m.max(v);
+            }
         }
-        let mut sum = 0.0;
+        sum.fill(0.0);
         for k in 0..c {
-            let e = (data[k * hw + i] - max).exp();
-            data[k * hw + i] = e;
-            sum += e;
+            let row = &mut data[k * hw + p0..][..n];
+            for ((v, &m), s) in row.iter_mut().zip(max.iter()).zip(sum.iter_mut()) {
+                let e = (*v - m).exp();
+                *v = e;
+                *s += e;
+            }
         }
         for k in 0..c {
-            data[k * hw + i] /= sum;
+            for (v, &s) in data[k * hw + p0..][..n].iter_mut().zip(sum.iter()) {
+                *v /= s;
+            }
         }
+        p0 += n;
     }
 }
 
@@ -130,6 +156,74 @@ pub fn softmax_cross_entropy(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::{Rng, SeedableRng};
+    use rand_chacha::ChaCha8Rng;
+
+    /// The per-pixel softmax the blocked [`softmax_in_place`] replaced:
+    /// the reference it must reproduce bit for bit.
+    fn softmax_per_pixel_reference(logits: &mut Tensor) {
+        let (c, h, w) = logits.shape();
+        let hw = h * w;
+        let data = logits.as_mut_slice();
+        for i in 0..hw {
+            let mut max = f32::NEG_INFINITY;
+            for k in 0..c {
+                max = max.max(data[k * hw + i]);
+            }
+            let mut sum = 0.0;
+            for k in 0..c {
+                let e = (data[k * hw + i] - max).exp();
+                data[k * hw + i] = e;
+                sum += e;
+            }
+            for k in 0..c {
+                data[k * hw + i] /= sum;
+            }
+        }
+    }
+
+    /// Blocked softmax equals the per-pixel reference bit for bit over
+    /// 1–8 classes, pixel counts that straddle block boundaries, and
+    /// logits drawn to hit huge magnitudes, `-inf` and exact ties.
+    #[test]
+    fn blocked_softmax_matches_per_pixel_reference_bitwise() {
+        let mut r = ChaCha8Rng::seed_from_u64(0x50F7);
+        let hw_cases = [
+            1,
+            7,
+            SOFTMAX_BLOCK - 1,
+            SOFTMAX_BLOCK,
+            SOFTMAX_BLOCK + 1,
+            2 * SOFTMAX_BLOCK + 37,
+        ];
+        for case in 0..96 {
+            let classes = 1 + case % 8;
+            let hw = hw_cases[case % hw_cases.len()];
+            let (h, w) = if hw.is_multiple_of(7) {
+                (7, hw / 7)
+            } else {
+                (1, hw)
+            };
+            let logits = Tensor::from_fn(classes, h, w, |_, _, _| match r.gen_range(0u32..10) {
+                0 => f32::NEG_INFINITY,
+                1 => r.gen_range(-1.5e38f32..1.5e38),
+                2 => 1000.0,
+                3 => -1000.0,
+                4 => 0.5, // ties across classes and pixels
+                _ => r.gen_range(-20.0f32..20.0),
+            });
+            let mut blocked = logits.clone();
+            softmax_in_place(&mut blocked);
+            let mut reference = logits;
+            softmax_per_pixel_reference(&mut reference);
+            let bits = |t: &Tensor| t.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            assert_eq!(
+                bits(&blocked),
+                bits(&reference),
+                "case {case}: {classes} classes x {hw} pixels diverged"
+            );
+        }
+    }
 
     #[test]
     fn softmax_sums_to_one() {

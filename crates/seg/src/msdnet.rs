@@ -1,6 +1,6 @@
 //! The Multi-Scale-Dilation segmentation network.
 
-use el_nn::layers::{Conv2d, Dropout, Layer, ParamRef, Phase, Relu};
+use el_nn::layers::{Conv2d, Dropout, Layer, ParamRef, Phase, Relu, Window};
 use el_nn::{Tensor, Workspace};
 use rand::RngCore;
 use serde::{Deserialize, Serialize};
@@ -279,14 +279,36 @@ impl MsdNet {
     /// batch ([`Conv2d::forward_batch_with`]). Each returned tensor is
     /// bit-identical to `mc_prefix` on the corresponding input.
     pub fn mc_prefix_batch(&self, inputs: &[&Tensor], ws: &mut Workspace) -> Vec<Tensor> {
+        let windows: Vec<Window> = inputs.iter().map(|t| Window::full(t)).collect();
+        self.mc_prefix_batch_windowed(inputs, &windows, ws)
+    }
+
+    /// [`MsdNet::mc_prefix_batch`] computed only at one output window per
+    /// crop ([`Conv2d::forward_batch_windowed`]): returned tensor `i` has
+    /// shape `(fused channels, windows[i].h, windows[i].w)` and is
+    /// bit-identical to that window cropped from `mc_prefix` on
+    /// `inputs[i]`. The tiled audit passes each tile's kept interior, so
+    /// margin pixels feed the branch convolutions' taps but are never
+    /// computed themselves.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `windows` and `inputs` differ in length or a window
+    /// leaves its input.
+    pub fn mc_prefix_batch_windowed(
+        &self,
+        inputs: &[&Tensor],
+        windows: &[Window],
+        ws: &mut Workspace,
+    ) -> Vec<Tensor> {
         let bc = self.config.branch_channels;
         let nb = self.branches.len();
-        let mut fused: Vec<Vec<f32>> = inputs
+        let mut fused: Vec<Vec<f32>> = windows
             .iter()
-            .map(|t| ws.take(bc * nb * t.height() * t.width()))
+            .map(|w| ws.take(bc * nb * w.area()))
             .collect();
         for (bi, b) in self.branches.iter().enumerate() {
-            let outs = b.conv.forward_batch_with(inputs, ws);
+            let outs = b.conv.forward_batch_windowed(inputs, windows, ws);
             for (i, mut y) in outs.into_iter().enumerate() {
                 Relu::apply(&mut y);
                 let hw = y.height() * y.width();
@@ -296,9 +318,9 @@ impl MsdNet {
         }
         fused
             .into_iter()
-            .zip(inputs)
-            .map(|(buf, t)| {
-                Tensor::from_vec(bc * nb, t.height(), t.width(), buf)
+            .zip(windows)
+            .map(|(buf, win)| {
+                Tensor::from_vec(bc * nb, win.h, win.w, buf)
                     .expect("fused buffer sized to the branch outputs")
             })
             .collect()

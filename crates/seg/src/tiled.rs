@@ -15,6 +15,7 @@
 //! [`segment_tiled_reference`]).
 
 use el_geom::{Grid, LabelMap, Rect, SemanticClass};
+use el_nn::layers::Window;
 use el_nn::{Tensor, Workspace};
 use el_scene::Image;
 
@@ -83,6 +84,17 @@ impl Tile {
             (self.keep_x1 - self.keep_x0) as i64,
             (self.keep_y1 - self.keep_y0) as i64,
         )
+    }
+
+    /// The kept interior as a crop-local output window — the only
+    /// pixels the batched tilers compute for this tile.
+    pub fn keep_window(&self) -> Window {
+        Window {
+            y0: self.keep_y0,
+            x0: self.keep_x0,
+            h: self.keep_y1 - self.keep_y0,
+            w: self.keep_x1 - self.keep_x0,
+        }
     }
 }
 
@@ -187,8 +199,8 @@ pub fn prioritize_tiles(tiles: &[Tile], priority: &[Rect]) -> Vec<usize> {
 }
 
 /// Pixel-column budget of one batched tile group in [`segment_tiled`]:
-/// consecutive tiles whose combined pixel count stays within it share one
-/// batched engine invocation. The group's working set (im2col rows,
+/// consecutive tiles whose combined kept-pixel count (the columns actually
+/// computed) stays within it share one batched engine invocation. The group's working set (im2col rows,
 /// stacked prefix, head activations — roughly 120 f32 per pixel at the
 /// paper config) must stay L2-resident: wider groups stream every pass
 /// through outer cache levels and lose to the cache-local per-tile loop
@@ -209,14 +221,14 @@ const EVAL_GROUP_COLUMNS: usize = 4 * 1024;
 /// ([`segment_tiled_reference`]):
 ///
 /// - each branch convolution of a group lowers into one column-stacked
-///   im2col GEMM across all its tiles ([`MsdNet::mc_prefix_batch`])
-///   instead of one im2col per tile;
-/// - only the **kept interiors** are column-stacked into the 1x1 head
-///   GEMMs and the softmax/argmax ([`MsdNet::eval_head_columns`]): the
-///   heads are pointwise, so margin pixels — which the stitcher discards
-///   anyway — feed the branch convolutions (where the receptive field
-///   needs them) but buy no head compute. The per-tile loop spends full
-///   head passes on them.
+///   im2col GEMM across all its tiles instead of one im2col per tile;
+/// - only the **kept interiors** are computed: the prefix at each
+///   tile's kept window ([`MsdNet::mc_prefix_batch_windowed`]), then
+///   the 1x1 head GEMMs and the softmax/argmax over the column-stacked
+///   keeps ([`MsdNet::eval_head_columns`]). Margin pixels — which the
+///   stitcher discards anyway — feed the branch convolutions' taps (where
+///   the receptive field needs them) but are never computed themselves.
+///   The per-tile loop spends full passes on them.
 ///
 /// Labels are **bit-identical** to the per-tile loop (property-tested):
 /// stacked GEMM columns reduce in the same strict order as per-tile
@@ -246,9 +258,9 @@ pub fn segment_tiled(net: &MsdNet, image: &Image, config: TileConfig) -> LabelMa
         // Grow the group while it fits the column budget (always at
         // least one tile).
         let mut end = start + 1;
-        let mut cols = (tiles[start].rect.w * tiles[start].rect.h) as usize;
+        let mut cols = tiles[start].keep_window().area();
         while end < tiles.len() {
-            let hw = (tiles[end].rect.w * tiles[end].rect.h) as usize;
+            let hw = tiles[end].keep_window().area();
             if cols + hw > EVAL_GROUP_COLUMNS {
                 break;
             }
@@ -261,29 +273,18 @@ pub fn segment_tiled(net: &MsdNet, image: &Image, config: TileConfig) -> LabelMa
             .map(|t| image_to_tensor(&image.crop(t.rect).expect("tile within image")))
             .collect();
         let refs: Vec<&Tensor> = inputs.iter().collect();
-        let fused = net.mc_prefix_batch(&refs, &mut ws);
-        // Column-stack only the kept interiors for the pointwise heads.
-        let n_keep: usize = group
-            .iter()
-            .map(|t| (t.keep_x1 - t.keep_x0) * (t.keep_y1 - t.keep_y0))
-            .sum();
+        let windows: Vec<Window> = group.iter().map(Tile::keep_window).collect();
+        let fused = net.mc_prefix_batch_windowed(&refs, &windows, &mut ws);
+        // Column-stack the kept interiors for the pointwise heads.
+        let n_keep: usize = windows.iter().map(Window::area).sum();
         let mut x = ws.take(fc * n_keep);
         let mut off = 0usize;
-        for (t, f) in group.iter().zip(&fused) {
-            let tw = t.rect.w as usize;
-            let kw = t.keep_x1 - t.keep_x0;
-            for c in 0..fc {
-                let plane = f.channel(c);
-                let mut dst = c * n_keep + off;
-                for yy in t.keep_y0..t.keep_y1 {
-                    let src = yy * tw + t.keep_x0;
-                    x[dst..dst + kw].copy_from_slice(&plane[src..src + kw]);
-                    dst += kw;
-                }
-            }
-            off += kw * (t.keep_y1 - t.keep_y0);
-        }
         for f in fused {
+            let hw = f.height() * f.width();
+            for c in 0..fc {
+                x[c * n_keep + off..c * n_keep + off + hw].copy_from_slice(f.channel(c));
+            }
+            off += hw;
             ws.recycle(f);
         }
         let logits = net.eval_head_columns(&x, n_keep, &mut ws);

@@ -8,7 +8,7 @@
 use certel::prelude::*;
 use el_geom::distance::distance_transform;
 use el_geom::Grid;
-use el_nn::layers::Conv2d;
+use el_nn::layers::{Conv2d, Window};
 use el_nn::{Tensor, Workspace};
 use el_sora::grc::{intrinsic_grc, GroundScenario, UavSpec};
 use el_sora::mitigation::MitigationSet;
@@ -129,6 +129,122 @@ fn conv_batched_matches_per_input() {
             );
             ws.recycle(single);
             ws.recycle(out);
+        }
+    }
+}
+
+/// The window `win` of every channel of `t`.
+fn crop_window(t: &Tensor, win: Window) -> Tensor {
+    Tensor::from_fn(t.channels(), win.h, win.w, |c, y, x| {
+        t.channel(c)[(win.y0 + y) * t.width() + win.x0 + x]
+    })
+}
+
+/// A random non-empty window of an `h x w` output; a third of the
+/// windows start at the top/left border and a third end at the
+/// bottom/right one, so border taps are exercised on every side.
+fn random_window(r: &mut ChaCha8Rng, h: usize, w: usize) -> Window {
+    let mut axis = |span: usize| {
+        let lo = if r.gen_range(0u32..3) == 0 {
+            0
+        } else {
+            r.gen_range(0..span)
+        };
+        let hi = if r.gen_range(0u32..3) == 0 {
+            span
+        } else {
+            r.gen_range(lo + 1..=span)
+        };
+        (lo, hi - lo)
+    };
+    let (y0, wh) = axis(h);
+    let (x0, ww) = axis(w);
+    Window {
+        y0,
+        x0,
+        h: wh,
+        w: ww,
+    }
+}
+
+fn bits(t: &Tensor) -> Vec<u32> {
+    t.as_slice().iter().map(|v| v.to_bits()).collect()
+}
+
+/// A windowed batched conv equals the same window cropped from the
+/// whole-input output, bit for bit: random windows (border-touching
+/// ones included) of mixed sizes in one batch, 3x3 kernels at
+/// dilations 1, 2 and 4 plus a 1x1 kernel. Sizes straddle the im2col
+/// column budget, so both stacked groups and singleton groups run.
+#[test]
+fn conv_windowed_matches_cropped_full_output() {
+    let mut r = rng();
+    let mut ws = Workspace::new();
+    for case in 0..CASES {
+        let (kernel, dilation) = [(1usize, 1usize), (3, 1), (3, 2), (3, 4)][case % 4];
+        let in_c = r.gen_range(1usize..4);
+        let out_c = r.gen_range(1usize..6);
+        let conv = Conv2d::new(in_c, out_c, kernel, dilation, &mut r);
+        let n = r.gen_range(1usize..6);
+        let inputs: Vec<Tensor> = (0..n)
+            .map(|_| {
+                let h = r.gen_range(1usize..60);
+                let w = r.gen_range(1usize..60);
+                Tensor::from_fn(in_c, h, w, |_, _, _| r.gen_range(-2.0f32..2.0))
+            })
+            .collect();
+        let windows: Vec<Window> = inputs
+            .iter()
+            .map(|t| random_window(&mut r, t.height(), t.width()))
+            .collect();
+        let refs: Vec<&Tensor> = inputs.iter().collect();
+        let windowed = conv.forward_batch_windowed(&refs, &windows, &mut ws);
+        assert_eq!(windowed.len(), n);
+        for ((input, &win), out) in inputs.iter().zip(&windows).zip(windowed) {
+            let full = conv.forward_with(input, &mut ws);
+            assert_eq!(
+                bits(&crop_window(&full, win)),
+                bits(&out),
+                "case {case}: k{kernel} d{dilation} window {win:?} of {:?} diverged",
+                input.shape()
+            );
+            ws.recycle(full);
+            ws.recycle(out);
+        }
+    }
+}
+
+/// The windowed batched Monte-Carlo prefix equals the same window
+/// cropped from the per-input prefix, bit for bit, for the paper's
+/// dilation-1/2/4 network over mixed random windows.
+#[test]
+fn prefix_windowed_matches_cropped_full_prefix() {
+    let mut r = rng();
+    let net = el_seg::MsdNet::new(&el_seg::MsdNetConfig::default_uavid(), &mut r);
+    let mut ws = Workspace::new();
+    for case in 0..CASES / 4 {
+        let n = r.gen_range(1usize..5);
+        let inputs: Vec<Tensor> = (0..n)
+            .map(|_| {
+                let h = r.gen_range(1usize..40);
+                let w = r.gen_range(1usize..40);
+                Tensor::from_fn(3, h, w, |_, _, _| r.gen_range(0.0f32..1.0))
+            })
+            .collect();
+        let windows: Vec<Window> = inputs
+            .iter()
+            .map(|t| random_window(&mut r, t.height(), t.width()))
+            .collect();
+        let refs: Vec<&Tensor> = inputs.iter().collect();
+        let windowed = net.mc_prefix_batch_windowed(&refs, &windows, &mut ws);
+        for ((input, &win), fused) in inputs.iter().zip(&windows).zip(&windowed) {
+            let full = net.mc_prefix(input, &mut ws);
+            assert_eq!(
+                bits(&crop_window(&full, win)),
+                bits(fused),
+                "case {case}: prefix window {win:?} of {:?} diverged",
+                input.shape()
+            );
         }
     }
 }
