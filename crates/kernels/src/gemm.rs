@@ -1,7 +1,8 @@
 //! The register-blocked GEMM micro-kernel, one variant per tier.
 //!
 //! `out[m][n] = bias[m] + sum_k a[m][k] * b[k][n]`, all matrices
-//! row-major. Every variant computes four output rows per sweep with a
+//! row-major. Every variant computes four output rows per sweep (the
+//! AVX-512F one up to eight, for its 32 vector registers) with a
 //! tier-wide column tile held in registers, `k` as the innermost loop,
 //! and **separate multiply and add instructions — never FMA**, which
 //! rounds differently. Per output element the reduction therefore
@@ -241,8 +242,9 @@ unsafe fn gemm_bias_avx2_inner(
     }
 }
 
-/// AVX-512F micro-kernel: 4 output rows x 32 columns held in eight
-/// `zmm` accumulators. `vmulps` + `vaddps`, never FMA.
+/// AVX-512F micro-kernel: up to 8 output rows x 32 columns held in
+/// sixteen `zmm` accumulators (4, 3, 2 or 1 rows for the remainder).
+/// `vmulps` + `vaddps`, never FMA.
 #[cfg(target_arch = "x86_64")]
 pub(crate) fn gemm_bias_avx512(
     a: &[f32],
@@ -254,14 +256,16 @@ pub(crate) fn gemm_bias_avx512(
     n: usize,
 ) {
     debug_assert!(std::arch::is_x86_feature_detected!("avx512f"));
+    assert!(a.len() >= m * k_dim && b.len() >= k_dim * n && bias.len() >= m && out.len() >= m * n);
     // Safety: the dispatch table only exposes this entry on CPUs where
-    // AVX-512F detection succeeded.
+    // AVX-512F detection succeeded, and the buffers cover the shapes.
     unsafe { gemm_bias_avx512_inner(a, b, bias, out, m, k_dim, n) }
 }
 
 /// # Safety
 ///
-/// Callers must ensure AVX-512F is available.
+/// Callers must ensure AVX-512F is available and that the buffers cover
+/// `m x k_dim`, `k_dim x n`, `m` and `m x n` elements.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx512f")]
 unsafe fn gemm_bias_avx512_inner(
@@ -273,7 +277,6 @@ unsafe fn gemm_bias_avx512_inner(
     k_dim: usize,
     n: usize,
 ) {
-    use core::arch::x86_64::*;
     const W: usize = 32; // two zmm registers of columns
     let tiles = n / W;
     let tail = tiles * W;
@@ -281,28 +284,15 @@ unsafe fn gemm_bias_avx512_inner(
         let j0 = t * W;
         let mut o = 0usize;
         while o < m {
-            let block = (m - o).min(4);
-            let mut acc = [[_mm512_setzero_ps(); 2]; 4];
-            for (r, row) in acc.iter_mut().enumerate().take(block) {
-                let bv = _mm512_set1_ps(bias[o + r]);
-                *row = [bv, bv];
-            }
-            for k in 0..k_dim {
-                let bp = b.as_ptr().add(k * n + j0);
-                let b0 = _mm512_loadu_ps(bp);
-                let b1 = _mm512_loadu_ps(bp.add(16));
-                for (r, row) in acc.iter_mut().enumerate().take(block) {
-                    let wv = _mm512_set1_ps(a[(o + r) * k_dim + k]);
-                    row[0] = _mm512_add_ps(row[0], _mm512_mul_ps(wv, b0));
-                    row[1] = _mm512_add_ps(row[1], _mm512_mul_ps(wv, b1));
-                }
-            }
-            for (r, row) in acc.iter().enumerate().take(block) {
-                let op = out.as_mut_ptr().add((o + r) * n + j0);
-                _mm512_storeu_ps(op, row[0]);
-                _mm512_storeu_ps(op.add(16), row[1]);
-            }
-            o += block;
+            let (ap, bp) = (a.as_ptr().add(o * k_dim), b.as_ptr().add(j0));
+            let (biasp, op) = (bias.as_ptr().add(o), out.as_mut_ptr().add(o * n + j0));
+            o += match m - o {
+                8.. => gemm_rows_avx512::<8>(ap, bp, biasp, op, k_dim, n),
+                4..=7 => gemm_rows_avx512::<4>(ap, bp, biasp, op, k_dim, n),
+                3 => gemm_rows_avx512::<3>(ap, bp, biasp, op, k_dim, n),
+                2 => gemm_rows_avx512::<2>(ap, bp, biasp, op, k_dim, n),
+                _ => gemm_rows_avx512::<1>(ap, bp, biasp, op, k_dim, n),
+            };
         }
     }
     let mut o = 0usize;
@@ -311,6 +301,50 @@ unsafe fn gemm_bias_avx512_inner(
         gemm_cols_scalar(a, b, bias, out, o, block, k_dim, n, tail);
         o += block;
     }
+}
+
+/// One `R`-row x 32-column block of the AVX-512F kernel, its `2R`
+/// accumulators in registers; returns `R`. Eight rows load each `b`
+/// vector once per eight broadcasts, against four in a 4-row block.
+///
+/// # Safety
+///
+/// AVX-512F must be available; `a` covers `R x k_dim` (row stride
+/// `k_dim`), `b` covers `k_dim` rows of 32 (stride `n`), `bias` `R`
+/// and `out` `R` rows of 32 (stride `n`).
+#[cfg(target_arch = "x86_64")]
+#[inline]
+#[target_feature(enable = "avx512f")]
+unsafe fn gemm_rows_avx512<const R: usize>(
+    a: *const f32,
+    b: *const f32,
+    bias: *const f32,
+    out: *mut f32,
+    k_dim: usize,
+    n: usize,
+) -> usize {
+    use core::arch::x86_64::*;
+    let mut acc = [[_mm512_setzero_ps(); 2]; R];
+    for (r, row) in acc.iter_mut().enumerate() {
+        let bv = _mm512_set1_ps(*bias.add(r));
+        *row = [bv, bv];
+    }
+    for k in 0..k_dim {
+        let bp = b.add(k * n);
+        let b0 = _mm512_loadu_ps(bp);
+        let b1 = _mm512_loadu_ps(bp.add(16));
+        for (r, row) in acc.iter_mut().enumerate() {
+            let wv = _mm512_set1_ps(*a.add(r * k_dim + k));
+            row[0] = _mm512_add_ps(row[0], _mm512_mul_ps(wv, b0));
+            row[1] = _mm512_add_ps(row[1], _mm512_mul_ps(wv, b1));
+        }
+    }
+    for (r, row) in acc.iter().enumerate() {
+        let op = out.add(r * n);
+        _mm512_storeu_ps(op, row[0]);
+        _mm512_storeu_ps(op.add(16), row[1]);
+    }
+    R
 }
 
 /// NEON micro-kernel: 4 output rows x 8 columns in eight `v` register

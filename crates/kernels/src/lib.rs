@@ -404,6 +404,16 @@ pub struct ResolvedKernels {
 }
 
 impl ResolvedKernels {
+    /// The exact contract on the process-wide active tier
+    /// ([`Kernels::active`]) — what every certified path runs.
+    pub fn active_exact() -> Self {
+        ResolvedKernels {
+            exact: Kernels::active(),
+            contract: Contract::Exact,
+            approx_gemm: None,
+        }
+    }
+
     /// The exact dispatch table (every non-GEMM hot path, and the GEMM
     /// itself under [`Contract::Exact`]).
     pub fn exact(&self) -> &'static Kernels {

@@ -344,11 +344,25 @@ unsafe fn mask_rows_avx512(
     let scale_v = _mm512_set1_ps(scale);
     let one = _mm512_set1_ps(1.0);
     let to_unit = _mm512_set1_ps(1.0 / (1u32 << 24) as f32);
+    // `(gx0 + x + lane)·φ` wraps mod 2^32, so it equals `gx0·φ +
+    // lane·φ` advanced by `16·φ` per step: one add instead of a
+    // multiply per step.
+    let mut idx_g = _mm512_add_epi32(
+        _mm512_set1_epi32((gx0 as u32).wrapping_mul(0x9E37_79B9) as i32),
+        _mm512_mullo_epi32(lanes, golden),
+    );
+    let step_g = _mm512_set1_epi32((W as u32).wrapping_mul(0x9E37_79B9) as i32);
     let mut x = 0usize;
-    while x + W <= len {
-        let base = (gx0 as u32).wrapping_add(x as u32);
-        let idx = _mm512_add_epi32(_mm512_set1_epi32(base as i32), lanes);
-        let mut h = _mm512_xor_si512(seed_v, _mm512_mullo_epi32(idx, golden));
+    while x < len {
+        // The last step loads and stores only the row's remaining
+        // lanes; lane results are independent, so it needs no scalar
+        // tail.
+        let live: __mmask16 = if len - x >= W {
+            0xFFFF
+        } else {
+            (1u16 << (len - x)) - 1
+        };
+        let mut h = _mm512_xor_si512(seed_v, idx_g);
         h = _mm512_xor_si512(h, _mm512_srli_epi32::<16>(h));
         h = _mm512_mullo_epi32(h, c1);
         h = _mm512_xor_si512(h, _mm512_srli_epi32::<13>(h));
@@ -356,11 +370,11 @@ unsafe fn mask_rows_avx512(
         h = _mm512_xor_si512(h, _mm512_srli_epi32::<16>(h));
         let f = _mm512_mul_ps(_mm512_cvtepi32_ps(_mm512_srli_epi32::<8>(h)), to_unit);
         let keep = _mm512_maskz_mov_ps(_mm512_cmp_ps_mask::<_CMP_GE_OQ>(f, rate_v), one);
-        let t = _mm512_mul_ps(_mm512_loadu_ps(src.add(x)), scale_v);
-        _mm512_storeu_ps(dst.add(x), _mm512_mul_ps(t, keep));
+        let t = _mm512_mul_ps(_mm512_maskz_loadu_ps(live, src.add(x)), scale_v);
+        _mm512_mask_storeu_ps(dst.add(x), live, _mm512_mul_ps(t, keep));
+        idx_g = _mm512_add_epi32(idx_g, step_g);
         x += W;
     }
-    mask_tail_scalar(row_seed, gx0, rate, scale, src, dst, x, len);
 }
 
 /// NEON row kernel: 4 mask words per step.

@@ -67,7 +67,8 @@
 /// always aligned. The kernels themselves use unaligned loads and work
 /// with any slice; alignment is purely an allocation-side speedup, and
 /// the sample slabs arrive wherever the caller's workspace put them.
-#[derive(Debug)]
+/// The default buffer is empty.
+#[derive(Debug, Default)]
 pub struct AlignedF32 {
     buf: Vec<f32>,
     off: usize,

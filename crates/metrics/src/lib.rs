@@ -355,10 +355,11 @@ pub struct MetricsRegistry {
     pub verify_latency: Histogram,
     /// `Monitor::verify_batch_seeded` wall time, one sample per batch.
     pub verify_batch_latency: Histogram,
-    /// One Monte-Carlo fold step (stochastic forward pass + softmax +
-    /// Welford push), recorded inside the chunk engine. The engine folds
-    /// consecutive samples as fused pairs, so a pair records one sample
-    /// here; compare against [`MetricsRegistry::samples_run`] for the
+    /// One row band's Monte-Carlo samples (every sample's stochastic
+    /// suffix, softmax and Welford fold, and the chunk-order merge),
+    /// recorded once per band by the statistics engine; the small-batch
+    /// stacked path records once per chunk. The count tracks bands, not
+    /// samples; compare against [`MetricsRegistry::samples_run`] for the
     /// true sample count.
     pub sample_fold: Histogram,
     /// Monte-Carlo samples executed.

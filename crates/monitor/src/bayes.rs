@@ -3,16 +3,15 @@
 //! # Engine design
 //!
 //! A verified crop costs `samples` stochastic passes in the naive
-//! formulation. The engine cuts that down five ways, none of which
+//! formulation. The engine cuts that down six ways, none of which
 //! changes the statistics' semantics:
 //!
 //! 1. **Invariant-prefix caching.** No dropout layer precedes the MSDnet's
 //!    dilated branch convolutions, so `relu(conv_d(x))` is identical in
-//!    every Monte-Carlo sample. [`el_seg::MsdNet::mc_prefix`] computes it
-//!    once per crop ([`el_seg::MsdNet::mc_prefix_batch`] with **one**
-//!    column-stacked GEMM per branch for a batch of crops); each sample
-//!    replays only the stochastic suffix (branch dropout → fusion head →
-//!    head dropout → classifier).
+//!    every Monte-Carlo sample. The engine computes it once per row band
+//!    ([`el_seg::MsdNet::mc_prefix_window`]); each sample replays only
+//!    the stochastic suffix (branch dropout → fusion head → head
+//!    dropout → classifier).
 //! 2. **Coordinate-keyed masks.** Sample `k`'s per-sample seed is
 //!    `splitmix64(seed + (k+1)·φ)` (`φ` the 64-bit golden-ratio
 //!    constant), and each activation's mask bit is a pure hash of that
@@ -34,50 +33,61 @@
 //!    samples into a running Welford mean/M2 (O(1) memory in the sample
 //!    count); the per-chunk partials are then merged **in chunk order**
 //!    with Chan's parallel-combine formula. Because both the partition and
-//!    the merge order are fixed, [`bayesian_segment_tensor`] (chunks on
+//!    the merge order are fixed, [`bayesian_segment_tensor`] (bands on
 //!    rayon workers) and [`bayesian_segment_tensor_sequential`] (same
-//!    chunks, one thread) produce bit-identical [`BayesStats`]. The fold
+//!    bands, one thread) produce bit-identical [`BayesStats`]. The fold
 //!    itself is **lane-parallel across pixels, sequential across
 //!    samples** — pixel statistics never interact — so both the per-pixel
 //!    update and the chunk merge dispatch through the `el_kernels` tier
 //!    ladder ([`el_kernels::Kernels::welford_push`] /
 //!    [`el_kernels::Kernels::welford_merge`]), 4/8/16 pixels per lane
-//!    step, every tier bit-identical to portable.
+//!    step, every tier bit-identical to portable. A one-sample chunk's
+//!    partial is exactly `(x, 0)`, so it is merged in straight from the
+//!    sample's scores.
 //! 4. **One shared batch work queue.** [`bayesian_segment_batch`] turns
-//!    a batch of crops into `crops x chunks` independent tasks drained by
+//!    a batch of crops into `crops x bands` independent tasks drained by
 //!    a single rayon `par_iter` — no per-crop join barriers, so workers
-//!    stay busy while any crop still has samples left. Each task stays on
-//!    one crop (its prefix, activations and Welford partials remain
-//!    cache-resident), and scratch arenas are pooled across the whole
-//!    invocation instead of re-warmed per crop. Batches whose
-//!    per-sample activations fit the cache budget entirely
-//!    (`STACKED_SUFFIX_BUDGET`) instead collapse each sample's suffix
-//!    across **all** crops into two column-stacked head GEMMs
-//!    ([`el_seg::MsdNet::mc_sample_stacked`]) — both strategies are
-//!    bit-identical and pinned by the same property tests.
+//!    stay busy while any crop still has work left — and scratch is
+//!    pooled across the whole invocation instead of re-warmed per crop.
 //! 5. **Kept-interior evaluation.** A tiled whole-frame pass keeps only
 //!    each tile's interior; its margin exists to feed the dilated
 //!    branch convolutions' taps. The tiled pass therefore computes
-//!    the prefix at the kept interior only
-//!    ([`el_seg::MsdNet::mc_prefix_batch_windowed`]: an im2col over an
-//!    output window of the crop) and runs every Monte-Carlo sample's
-//!    suffix on those kept columns, keyed at the keep's frame origin.
-//!    The heads are 1x1, masks are keyed by global coordinates and each
-//!    GEMM column reduces over `k` in a fixed order, so the kept pixels'
+//!    the prefix at the kept interior only (an im2col over an output
+//!    window of the crop) and runs every Monte-Carlo sample's suffix on
+//!    those kept columns, keyed at the keep's frame origin. The heads
+//!    are 1x1, masks are keyed by global coordinates and each GEMM
+//!    column reduces over `k` in a fixed order, so the kept pixels'
 //!    statistics are bit-identical to computing the whole tile and
 //!    discarding its margin — without paying for the margin.
+//! 6. **Band-major evaluation.** A window is never evaluated whole: the
+//!    band planner ([`el_nn::layers::Window::row_bands`]) cuts it into
+//!    runs of full-width rows of at most [`el_seg::BAND_COLUMNS`]
+//!    columns, and each band task computes its windowed prefix, every
+//!    sample's suffix and softmax, the per-chunk Welford folds, the
+//!    chunk-order merge and `σ` while the band is L2-resident, then
+//!    writes the band's rows. The band is the parallel unit; bands are
+//!    disjoint and written to fixed positions, so the result does not
+//!    depend on the thread count. A call with fewer bands than workers
+//!    also splits each band's chunks into runs, one task each, and
+//!    merges the runs' partials in chunk order. The result is
+//!    bit-identical to whole-window evaluation by item 5's argument
+//!    plus a fixed chunk partition and merge order, and every band
+//!    starts on a 64-column boundary, so the approximate GEMM rungs see
+//!    the same column tiles and int8 quantisation groups as they would
+//!    over the whole window (`docs/kernels.md`).
 //!
 //! The pre-optimization path — naive scalar convolution, one RNG stream,
 //! strictly sequential — survives as [`bayesian_segment_tensor_reference`]
 //! for the equivalence tests and the `perf_monitor_scaling` benchmark.
 
 use el_kernels::welford::AlignedF32;
-use el_nn::layers::Phase;
+use el_kernels::ResolvedKernels;
+use el_nn::layers::{Phase, Window};
 use el_nn::loss::{softmax, softmax_in_place};
 use el_nn::{Tensor, Workspace};
 use el_scene::Image;
 use el_seg::data::image_to_tensor;
-use el_seg::MsdNet;
+use el_seg::{MsdNet, BAND_COLUMNS};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use rayon::prelude::*;
@@ -169,6 +179,7 @@ fn chunk_layout(samples: usize) -> Vec<(usize, usize)> {
 /// cache-line-split tax. Consecutive samples can fold as fused pairs
 /// ([`Welford::push2`]), which is bit-identical to two single pushes
 /// and halves the accumulator traffic.
+#[derive(Clone, Default)]
 struct Welford {
     count: usize,
     mean: AlignedF32,
@@ -210,52 +221,54 @@ impl Welford {
         );
     }
 
-    /// Folds one sample stored as a column block of a stacked
-    /// `(classes x stride)` matrix (columns `[off, off + hw)` of each
-    /// class row). Element `c·hw + j` sees exactly the arithmetic
-    /// [`Welford::push`] applies to a contiguous `(classes, h, w)`
-    /// tensor, so the stacked batch path is bit-identical to the
-    /// per-crop path.
-    fn push_stacked(&mut self, xs: &[f32], stride: usize, off: usize, hw: usize) {
-        debug_assert_eq!(self.mean.len() % hw, 0);
-        self.count += 1;
-        let n = self.count as f32;
-        let classes = self.mean.len() / hw;
-        let kernels = el_kernels::active();
-        for c in 0..classes {
-            let row = &xs[c * stride + off..c * stride + off + hw];
-            let mean = &mut self.mean.as_mut_slice()[c * hw..(c + 1) * hw];
-            let m2 = &mut self.m2.as_mut_slice()[c * hw..(c + 1) * hw];
-            kernels.welford_push(mean, m2, row, n);
+    /// Folds the samples of chunk `(start, len)` in, `probs(k, ws)`
+    /// yielding sample `k`'s softmax scores. Consecutive samples fold as
+    /// fused pairs — bit-identical to single pushes (see
+    /// `Kernels::welford_push2`) with half the accumulator traffic — and
+    /// an odd chunk's last sample singly.
+    fn fold_chunk(
+        &mut self,
+        (start, len): (usize, usize),
+        ws: &mut Workspace,
+        probs: impl Fn(usize, &mut Workspace) -> Tensor,
+    ) {
+        let mut k = start;
+        while k + 2 <= start + len {
+            let (p0, p1) = (probs(k, ws), probs(k + 1, ws));
+            self.push2(p0.as_slice(), p1.as_slice());
+            ws.recycle(p1);
+            ws.recycle(p0);
+            k += 2;
+        }
+        if k < start + len {
+            let p = probs(k, ws);
+            self.push(p.as_slice());
+            ws.recycle(p);
         }
     }
 
-    /// The fused-pair form of [`Welford::push_stacked`] — bit-identical
-    /// to two single stacked pushes.
-    fn push2_stacked(&mut self, xs0: &[f32], xs1: &[f32], stride: usize, off: usize, hw: usize) {
-        debug_assert_eq!(self.mean.len() % hw, 0);
-        let n0 = (self.count + 1) as f32;
-        self.count += 2;
-        let classes = self.mean.len() / hw;
-        let kernels = el_kernels::active();
-        for c in 0..classes {
-            let row0 = &xs0[c * stride + off..c * stride + off + hw];
-            let row1 = &xs1[c * stride + off..c * stride + off + hw];
-            let mean = &mut self.mean.as_mut_slice()[c * hw..(c + 1) * hw];
-            let m2 = &mut self.m2.as_mut_slice()[c * hw..(c + 1) * hw];
-            kernels.welford_push2(mean, m2, row0, row1, n0);
+    /// Empties the accumulator for `len` elements, reusing its slabs
+    /// when they already have that length.
+    fn reset(&mut self, len: usize) {
+        if self.mean.len() == len {
+            self.count = 0;
+            self.mean.as_mut_slice().fill(0.0);
+            self.m2.as_mut_slice().fill(0.0);
+        } else {
+            *self = Welford::new(len);
         }
     }
 
-    /// Merges two partials with Chan's parallel-combine formula
+    /// Merges `other` in with Chan's parallel-combine formula
     /// (lane-parallel; the scalar weights are computed once, which is
     /// bit-identical to recomputing them per element).
-    fn merge(mut self, other: Welford) -> Welford {
+    fn merge_from(&mut self, other: &Welford) {
         if other.count == 0 {
-            return self;
+            return;
         }
         if self.count == 0 {
-            return other;
+            *self = other.clone();
+            return;
         }
         let na = self.count as f32;
         let nb = other.count as f32;
@@ -269,200 +282,86 @@ impl Welford {
             na * nb / n,
         );
         self.count += other.count;
-        self
+    }
+
+    /// Makes `xs` the accumulator's only sample. Bit-identical to
+    /// `reset` then `push(xs)` on softmax scores: `0 + (x − 0)·1 = x`
+    /// and `0 + x·(x − x) = 0` for every score in `[0, 1]` (never −0).
+    /// A NaN score leaves `M2` at 0 here and NaN there; the mean is NaN
+    /// either way, so every later merge turns `M2` NaN, and `σ` clamps a
+    /// NaN `M2` to 0 ([`std_of`]).
+    fn set_one(&mut self, xs: &[f32]) {
+        if self.mean.len() == xs.len() {
+            self.m2.as_mut_slice().fill(0.0);
+        } else {
+            *self = Welford::new(xs.len());
+        }
+        self.mean.as_mut_slice().copy_from_slice(xs);
+        self.count = 1;
+    }
+
+    /// Merges a one-sample chunk in: bit-identical to `merge_from` a
+    /// partial built by [`Welford::set_one`], whose `M2` is the zero
+    /// slab `zeros`, without building it.
+    fn merge_one(&mut self, xs: &[f32], zeros: &[f32]) {
+        debug_assert!(self.count > 0);
+        let na = self.count as f32;
+        let n = na + 1.0;
+        el_kernels::active().welford_merge(
+            self.mean.as_mut_slice(),
+            self.m2.as_mut_slice(),
+            xs,
+            zeros,
+            1.0 / n,
+            na / n,
+        );
+        self.count += 1;
     }
 }
 
-/// Runs one chunk of Monte-Carlo samples against a shared network and
-/// prefix, folding each sample's softmax scores into a Welford partial.
-#[allow(clippy::too_many_arguments)]
-fn run_chunk(
-    net: &MsdNet,
-    fused: &Tensor,
-    seed: u64,
-    origin: (usize, usize),
-    start: usize,
-    len: usize,
-    stat_len: usize,
-    ws: &mut Workspace,
-) -> Welford {
-    let mut acc = Welford::new(stat_len);
-    // Consecutive samples fold as fused pairs — bit-identical to single
-    // pushes (see `Kernels::welford_push2`) with half the accumulator
-    // traffic; an odd chunk folds its last sample singly.
-    let mut k = start;
-    while k + 2 <= start + len {
-        let sw = el_metrics::Stopwatch::start();
-        let mut p0 = net.mc_sample_at(fused, sample_seed(seed, k), origin, ws);
-        softmax_in_place(&mut p0);
-        let mut p1 = net.mc_sample_at(fused, sample_seed(seed, k + 1), origin, ws);
-        softmax_in_place(&mut p1);
-        acc.push2(p0.as_slice(), p1.as_slice());
-        ws.recycle(p1);
-        ws.recycle(p0);
-        el_metrics::registry().sample_fold.record(sw);
-        k += 2;
-    }
-    if k < start + len {
-        let sw = el_metrics::Stopwatch::start();
-        let mut probs = net.mc_sample_at(fused, sample_seed(seed, k), origin, ws);
-        softmax_in_place(&mut probs);
-        acc.push(probs.as_slice());
-        ws.recycle(probs);
-        el_metrics::registry().sample_fold.record(sw);
-    }
-    acc
+/// Per-worker scratch of the statistics engine, reused from band to
+/// band: a workspace arena, the two Welford partials of a band task
+/// (the running chunk-order total and the chunk in progress) and a
+/// zero slab, the `M2` of every one-sample chunk.
+#[derive(Default)]
+struct BandScratch {
+    ws: Workspace,
+    total: Welford,
+    part: Welford,
+    zeros: AlignedF32,
 }
 
-/// [`run_chunk`] with the suffix GEMMs routed through an explicit
-/// kernel resolution ([`el_kernels::ResolvedKernels`]) — the audit
-/// sweep's approximate-contract path. Sample seeds, dropout masks,
-/// softmax and the Welford fold are unchanged; only the two head GEMMs
-/// differ, so under [`el_kernels::Contract::Exact`] this is
-/// bit-identical to [`run_chunk`].
-#[allow(clippy::too_many_arguments)]
-fn run_chunk_with(
-    net: &MsdNet,
-    fused: &Tensor,
-    seed: u64,
-    origin: (usize, usize),
-    start: usize,
-    len: usize,
-    stat_len: usize,
-    ws: &mut Workspace,
-    kernels: &el_kernels::ResolvedKernels,
-) -> Welford {
-    let mut acc = Welford::new(stat_len);
-    let mut k = start;
-    while k + 2 <= start + len {
-        let sw = el_metrics::Stopwatch::start();
-        let mut p0 = net.mc_sample_at_with(fused, sample_seed(seed, k), origin, ws, kernels);
-        softmax_in_place(&mut p0);
-        let mut p1 = net.mc_sample_at_with(fused, sample_seed(seed, k + 1), origin, ws, kernels);
-        softmax_in_place(&mut p1);
-        acc.push2(p0.as_slice(), p1.as_slice());
-        ws.recycle(p1);
-        ws.recycle(p0);
-        el_metrics::registry().sample_fold.record(sw);
-        k += 2;
-    }
-    if k < start + len {
-        let sw = el_metrics::Stopwatch::start();
-        let mut probs = net.mc_sample_at_with(fused, sample_seed(seed, k), origin, ws, kernels);
-        softmax_in_place(&mut probs);
-        acc.push(probs.as_slice());
-        ws.recycle(probs);
-        el_metrics::registry().sample_fold.record(sw);
-    }
-    acc
-}
+/// A lock-protected stack of scratch shared by every task of one engine
+/// invocation or more: a worker pops a scratch (or starts a fresh one),
+/// runs its task, and pushes the scratch back. The number of scratches
+/// ever warmed therefore equals the peak worker concurrency — not the
+/// task count, and not the crop count as in `N` sequential engine calls.
+pub(crate) struct ScratchPool(std::sync::Mutex<Vec<BandScratch>>);
 
-/// Runs one chunk of Monte-Carlo samples for an **entire** batch of
-/// crops: each sample's stochastic suffix covers the whole batch via
-/// column-stacked head GEMMs ([`MsdNet::mc_sample_stacked`]). Returns
-/// one Welford partial per crop, each bit-identical to what
-/// [`run_chunk`] would produce for that crop alone. Selected by
-/// [`bayesian_segment_batch`] only while the stacked activations fit
-/// the cache budget ([`STACKED_SUFFIX_BUDGET`]).
-fn run_chunk_stacked(
-    net: &MsdNet,
-    fused: &[&Tensor],
-    seeds: &[u64],
-    origins: &[(usize, usize)],
-    start: usize,
-    len: usize,
-    ws: &mut Workspace,
-) -> Vec<Welford> {
-    let classes = net.classes();
-    let n_total: usize = fused.iter().map(|f| f.height() * f.width()).sum();
-    let mut accs: Vec<Welford> = fused
-        .iter()
-        .map(|f| Welford::new(classes * f.height() * f.width()))
-        .collect();
-    let mut ks = vec![0u64; seeds.len()];
-    // Fused sample pairs, exactly as in `run_chunk` — bit-identical to
-    // the single-sample fold, half the accumulator traffic.
-    let mut k = start;
-    while k + 2 <= start + len {
-        let sw = el_metrics::Stopwatch::start();
-        for (dst, &s) in ks.iter_mut().zip(seeds) {
-            *dst = sample_seed(s, k);
-        }
-        let mut p0 = net.mc_sample_stacked(fused, &ks, origins, ws);
-        softmax_in_place(&mut p0);
-        for (dst, &s) in ks.iter_mut().zip(seeds) {
-            *dst = sample_seed(s, k + 1);
-        }
-        let mut p1 = net.mc_sample_stacked(fused, &ks, origins, ws);
-        softmax_in_place(&mut p1);
-        let mut off = 0usize;
-        for (acc, f) in accs.iter_mut().zip(fused) {
-            let hw = f.height() * f.width();
-            acc.push2_stacked(p0.as_slice(), p1.as_slice(), n_total, off, hw);
-            off += hw;
-        }
-        ws.recycle(p1);
-        ws.recycle(p0);
-        el_metrics::registry().sample_fold.record(sw);
-        k += 2;
-    }
-    if k < start + len {
-        let sw = el_metrics::Stopwatch::start();
-        for (dst, &s) in ks.iter_mut().zip(seeds) {
-            *dst = sample_seed(s, k);
-        }
-        let mut probs = net.mc_sample_stacked(fused, &ks, origins, ws);
-        softmax_in_place(&mut probs);
-        let mut off = 0usize;
-        for (acc, f) in accs.iter_mut().zip(fused) {
-            let hw = f.height() * f.width();
-            acc.push_stacked(probs.as_slice(), n_total, off, hw);
-            off += hw;
-        }
-        ws.recycle(probs);
-        el_metrics::registry().sample_fold.record(sw);
-    }
-    accs
-}
-
-/// Element budget for the stacked-suffix batch path: the whole batch's
-/// per-sample activations (`(fused + hidden + classes) channels x Σ h·w`
-/// f32 columns) must stay cache-resident or the stacked GEMMs lose to
-/// per-crop, cache-local chunks (measured on the 2 MB-L2 benchmark
-/// box). 64 Ki f32 = 256 KB, matching the prefix's im2col grouping
-/// budget. A pure performance knob — both paths are bit-identical.
-const STACKED_SUFFIX_BUDGET: usize = 64 * 1024;
-
-/// A lock-protected stack of scratch arenas shared by every task of one
-/// batch invocation: a worker pops an arena (or starts a fresh one),
-/// runs its chunk, and pushes the arena back. The number of arenas ever
-/// warmed therefore equals the peak worker concurrency — not the task
-/// count, and not the crop count as in `N` sequential engine calls.
-pub(crate) struct WsPool(std::sync::Mutex<Vec<Workspace>>);
-
-impl WsPool {
+impl ScratchPool {
     pub(crate) fn new() -> Self {
-        WsPool(std::sync::Mutex::new(Vec::new()))
+        ScratchPool(std::sync::Mutex::new(Vec::new()))
     }
 
-    fn with<R>(&self, f: impl FnOnce(&mut Workspace) -> R) -> R {
-        let mut ws = self
+    fn with<R>(&self, f: impl FnOnce(&mut BandScratch) -> R) -> R {
+        let mut scratch = self
             .0
             .lock()
-            .expect("workspace pool lock")
+            .expect("scratch pool lock")
             .pop()
             .unwrap_or_default();
-        let out = f(&mut ws);
-        self.0.lock().expect("workspace pool lock").push(ws);
+        let out = f(&mut scratch);
+        self.0.lock().expect("scratch pool lock").push(scratch);
         out
     }
 }
 
-fn stats_from(partials: Vec<Welford>, samples: usize, shape: (usize, usize, usize)) -> BayesStats {
-    let total = partials
-        .into_iter()
-        .reduce(Welford::merge)
-        .expect("at least one chunk");
+/// `σ` from a Welford `M2` over `samples` samples.
+fn std_of(m2: f32, samples: f32) -> f32 {
+    (m2 / samples).max(0.0).sqrt()
+}
+
+fn stats_from(total: Welford, samples: usize, shape: (usize, usize, usize)) -> BayesStats {
     debug_assert_eq!(total.count, samples);
     let denom = samples as f32;
     let (c, h, w) = shape;
@@ -470,7 +369,7 @@ fn stats_from(partials: Vec<Welford>, samples: usize, shape: (usize, usize, usiz
         .m2
         .as_slice()
         .iter()
-        .map(|&s2| (s2 / denom).max(0.0).sqrt())
+        .map(|&m2| std_of(m2, denom))
         .collect();
     BayesStats {
         mean: Tensor::from_vec(c, h, w, total.mean.into_vec())
@@ -480,130 +379,295 @@ fn stats_from(partials: Vec<Welford>, samples: usize, shape: (usize, usize, usiz
     }
 }
 
-fn mc_stats(
-    net: &MsdNet,
-    input: &Tensor,
-    samples: usize,
-    seed: u64,
-    origin: (usize, usize),
-    parallel: bool,
-) -> BayesStats {
-    let mut ws = Workspace::new();
-    let pool = WsPool::new();
-    mc_stats_pooled(net, input, samples, seed, origin, parallel, &pool, &mut ws)
+/// One crop of a statistics-engine invocation ([`mc_stats`]).
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct McJob<'a> {
+    /// The crop's input tensor.
+    pub input: &'a Tensor,
+    /// The output window whose statistics are wanted: the whole crop,
+    /// or a tile's kept interior.
+    pub window: Window,
+    /// The crop's seed.
+    pub seed: u64,
+    /// Frame coordinates of the window's top-left pixel, where its
+    /// dropout masks are keyed.
+    pub origin: (usize, usize),
 }
 
-/// [`mc_stats`] with caller-owned scratch: `ws` serves the prefix, the
-/// `pool` serves the chunk tasks. Repeated invocations (the tiled
-/// driver's per-tile passes) reuse warm arenas instead of re-allocating
-/// the prefix/im2col/sample buffers every call.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn mc_stats_pooled(
+impl<'a> McJob<'a> {
+    /// A whole crop whose top-left pixel sits at `origin` in its frame.
+    pub(crate) fn whole(input: &'a Tensor, seed: u64, origin: (usize, usize)) -> Self {
+        McJob {
+            input,
+            window: Window::full(input),
+            seed,
+            origin,
+        }
+    }
+}
+
+/// The Monte-Carlo statistics engine: every job's [`BayesStats`] over
+/// its window, computed band-major (module docs, item 6) with the
+/// suffix GEMMs routed through `kernels`. An exact resolution is the
+/// certified path; an approximate one is the audit sweep's
+/// reduced-precision suffix, and changes nothing else.
+pub(crate) fn mc_stats(
+    net: &MsdNet,
+    jobs: &[McJob],
+    samples: usize,
+    parallel: bool,
+    pool: &ScratchPool,
+    kernels: &ResolvedKernels,
+) -> Vec<BayesStats> {
+    run_bands(net, jobs, samples, parallel, pool, kernels, BAND_COLUMNS)
+}
+
+/// [`mc_stats`] for one whole crop under the exact contract.
+fn crop_stats(
     net: &MsdNet,
     input: &Tensor,
     samples: usize,
     seed: u64,
     origin: (usize, usize),
     parallel: bool,
-    pool: &WsPool,
-    ws: &mut Workspace,
 ) -> BayesStats {
-    let fused = net.mc_prefix(input, ws);
-    let stats = mc_stats_prefixed(net, &fused, samples, seed, origin, parallel, pool);
+    let (job, pool) = (McJob::whole(input, seed, origin), ScratchPool::new());
+    mc_stats(
+        net,
+        &[job],
+        samples,
+        parallel,
+        &pool,
+        &ResolvedKernels::active_exact(),
+    )
+    .pop()
+    .expect("one job in, one result out")
+}
+
+/// A band's rows of every class plane of its job's mean and `σ`.
+type BandRows<'a> = (Vec<&'a mut [f32]>, Vec<&'a mut [f32]>);
+
+/// One task of the band runner: a band of one job's window and a run of
+/// its sample chunks — all of them, or one run when the band is split
+/// across workers.
+struct BandTask<'a> {
+    job: McJob<'a>,
+    band: Window,
+    /// Index of the run's first chunk in the chunk layout.
+    first: usize,
+    chunks: &'a [(usize, usize)],
+    /// The band's output rows, when the task folds every chunk.
+    rows: Option<BandRows<'a>>,
+}
+
+/// Splits `planes` (`classes` planes of one window's pixels) into the
+/// row blocks of `bands`: entry `b` holds band `b`'s rows of each plane.
+fn split_bands<'a>(
+    mut planes: &'a mut [f32],
+    classes: usize,
+    bands: &[Window],
+) -> Vec<Vec<&'a mut [f32]>> {
+    let mut out: Vec<Vec<&mut [f32]>> = bands.iter().map(|_| Vec::with_capacity(classes)).collect();
+    for _ in 0..classes {
+        for (rows, band) in out.iter_mut().zip(bands) {
+            let (block, rest) = std::mem::take(&mut planes).split_at_mut(band.area());
+            rows.push(block);
+            planes = rest;
+        }
+    }
+    out
+}
+
+/// The band runner behind [`mc_stats`], with the band budget as a
+/// parameter (production passes [`BAND_COLUMNS`]; the property tests
+/// pass small budgets to cut small windows into many bands).
+///
+/// Every task drains one work queue, in parallel when `parallel`.
+/// Bands are disjoint and each writes its own rows, so the result is
+/// independent of the thread count; and because the chunk partition and
+/// merge order depend only on `samples`, it is bit-identical to
+/// evaluating each window whole, at any budget. When there are fewer
+/// bands than workers, each band's chunks are split into contiguous
+/// runs, one task each, so a window that fits one band still spreads
+/// its samples over the workers: every task recomputes the band's
+/// prefix, and the runs' partials merge in chunk order afterwards.
+#[allow(clippy::too_many_arguments)]
+fn run_bands(
+    net: &MsdNet,
+    jobs: &[McJob],
+    samples: usize,
+    parallel: bool,
+    pool: &ScratchPool,
+    kernels: &ResolvedKernels,
+    band_cols: usize,
+) -> Vec<BayesStats> {
+    assert!(samples > 0, "at least one Monte-Carlo sample is required");
+    el_metrics::registry()
+        .samples_run
+        .add((samples * jobs.len()) as u64);
+    let classes = net.classes();
+    let chunks = chunk_layout(samples);
+    let bands: Vec<Vec<Window>> = jobs.iter().map(|j| j.window.row_bands(band_cols)).collect();
+    let n_bands: usize = bands.iter().map(Vec::len).sum();
+    let workers = if parallel {
+        rayon::current_num_threads()
+    } else {
+        1
+    };
+    let runs = if n_bands < workers {
+        workers.div_ceil(n_bands.max(1)).min(chunks.len())
+    } else {
+        1
+    };
+    let run_len = chunks.len().div_ceil(runs);
+    let task_runs = chunks.chunks(run_len).len();
+    let mut planes: Vec<(Vec<f32>, Vec<f32>)> = jobs
+        .iter()
+        .map(|job| {
+            let len = classes * job.window.area();
+            (vec![0.0; len], vec![0.0; len])
+        })
+        .collect();
+    let (mut tasks, mut split) = (Vec::new(), Vec::new());
+    for ((&job, bands), (mean, std)) in jobs.iter().zip(bands).zip(&mut planes) {
+        let means = split_bands(mean, classes, &bands);
+        let stds = split_bands(std, classes, &bands);
+        for ((band, mean), std) in bands.into_iter().zip(means).zip(stds) {
+            for (r, run) in chunks.chunks(run_len).enumerate() {
+                tasks.push(BandTask {
+                    job,
+                    band,
+                    first: r * run_len,
+                    chunks: run,
+                    rows: None,
+                });
+            }
+            if task_runs == 1 {
+                tasks.last_mut().expect("one run").rows = Some((mean, std));
+            } else {
+                split.push((mean, std));
+            }
+        }
+    }
+    let run = |task: BandTask| pool.with(|s| run_band(net, task, samples, kernels, s));
+    let partials: Vec<Vec<Welford>> = if parallel {
+        tasks.into_par_iter().map(run).collect()
+    } else {
+        tasks.into_iter().map(run).collect()
+    };
+    // Split bands: merge the runs' partials in chunk order.
+    for (rows, parts) in split.into_iter().zip(partials.chunks(task_runs)) {
+        let mut parts = parts.iter().flatten();
+        let mut total = parts.next().expect("the first run's total").clone();
+        parts.for_each(|p| total.merge_from(p));
+        write_rows(&total, rows, samples);
+    }
+    jobs.iter()
+        .zip(planes)
+        .map(|(job, (mean, std))| {
+            let (h, w) = (job.window.h, job.window.w);
+            BayesStats {
+                mean: Tensor::from_vec(classes, h, w, mean).expect("mean sized to the window"),
+                std: Tensor::from_vec(classes, h, w, std).expect("std sized to the window"),
+                samples,
+            }
+        })
+        .collect()
+}
+
+/// Writes a band's mean and `σ` rows from its merged statistics.
+fn write_rows(total: &Welford, (mean, std): BandRows, samples: usize) {
+    debug_assert_eq!(total.count, samples);
+    let n = mean.first().map_or(0, |row| row.len());
+    let denom = samples as f32;
+    for (c, (mean, std)) in mean.into_iter().zip(std).enumerate() {
+        mean.copy_from_slice(&total.mean.as_slice()[c * n..(c + 1) * n]);
+        for (s, &m2) in std.iter_mut().zip(&total.m2.as_slice()[c * n..(c + 1) * n]) {
+            *s = std_of(m2, denom);
+        }
+    }
+}
+
+/// Runs one band task while the band is cache-resident: the band's
+/// windowed prefix, then every sample of its chunk run — suffix,
+/// softmax and Welford fold. The run that starts at chunk 0 folds its
+/// chunks into one running total in chunk order (a one-sample chunk is
+/// set or merged in directly, without a partial of its own); any other
+/// run returns one partial per chunk. A task that owns the band's rows
+/// writes them; otherwise it returns its partials.
+fn run_band(
+    net: &MsdNet,
+    task: BandTask,
+    samples: usize,
+    kernels: &ResolvedKernels,
+    scratch: &mut BandScratch,
+) -> Vec<Welford> {
+    let BandTask {
+        job,
+        band,
+        first,
+        chunks,
+        rows,
+    } = task;
+    let BandScratch {
+        ws,
+        total,
+        part,
+        zeros,
+    } = scratch;
+    let n = net.classes() * band.area();
+    if zeros.len() < n {
+        *zeros = AlignedF32::zeroed(n);
+    }
+    // Masks are keyed at the band's own frame position.
+    let origin = (job.origin.0 + band.y0 - job.window.y0, job.origin.1);
+    let fused = net.mc_prefix_window(job.input, band, ws);
+    let probs = |k: usize, ws: &mut Workspace| {
+        let mut p = net.mc_sample_at_with(&fused, sample_seed(job.seed, k), origin, ws, kernels);
+        softmax_in_place(&mut p);
+        p
+    };
+    let sw = el_metrics::Stopwatch::start();
+    let mut out = Vec::new();
+    for (i, &chunk) in chunks.iter().enumerate() {
+        if first > 0 {
+            let mut acc = Welford::new(n);
+            acc.fold_chunk(chunk, ws, probs);
+            out.push(acc);
+        } else if chunk.1 == 1 {
+            let p = probs(chunk.0, ws);
+            if i == 0 {
+                total.set_one(p.as_slice());
+            } else {
+                total.merge_one(p.as_slice(), &zeros.as_slice()[..n]);
+            }
+            ws.recycle(p);
+        } else {
+            let acc = if i == 0 { &mut *total } else { &mut *part };
+            acc.reset(n);
+            acc.fold_chunk(chunk, ws, probs);
+            // Merging each chunk as it completes is the same left fold,
+            // in chunk order, as merging all partials at the end.
+            if i > 0 {
+                total.merge_from(part);
+            }
+        }
+    }
+    el_metrics::registry().sample_fold.record(sw);
     ws.recycle(fused);
-    stats
-}
-
-/// The Monte-Carlo chunk machinery over a **precomputed** invariant
-/// prefix: the shared tail of [`mc_stats_pooled`], split out so the tiled
-/// audit driver can batch a group of tiles' prefixes through one
-/// column-stacked GEMM ([`MsdNet::mc_prefix_batch`]) and then run each
-/// tile's sample chunks here. Bit-identical to `mc_stats_pooled` on the
-/// same prefix — the chunk partition and merge order depend only on
-/// `samples`.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn mc_stats_prefixed(
-    net: &MsdNet,
-    fused: &Tensor,
-    samples: usize,
-    seed: u64,
-    origin: (usize, usize),
-    parallel: bool,
-    pool: &WsPool,
-) -> BayesStats {
-    assert!(samples > 0, "at least one Monte-Carlo sample is required");
-    el_metrics::registry().samples_run.add(samples as u64);
-    let (h, w) = (fused.height(), fused.width());
-    let stat_len = net.classes() * h * w;
-    let shape = (net.classes(), h, w);
-    let chunks = chunk_layout(samples);
-    let partials: Vec<Welford> = if parallel {
-        chunks
-            .into_par_iter()
-            .map(|(start, len)| {
-                pool.with(|ws| run_chunk(net, fused, seed, origin, start, len, stat_len, ws))
-            })
-            .collect()
-    } else {
-        chunks
-            .into_iter()
-            .map(|(start, len)| {
-                pool.with(|ws| run_chunk(net, fused, seed, origin, start, len, stat_len, ws))
-            })
-            .collect()
-    };
-    stats_from(partials, samples, shape)
-}
-
-/// [`mc_stats_prefixed`] under an explicit kernel resolution: the
-/// chunk partition, seeds and merge order are identical — only the
-/// suffix GEMMs route through `kernels`, so an exact resolution is
-/// bit-identical to [`mc_stats_prefixed`] and an approximate one
-/// differs only by the rung's quantisation error.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn mc_stats_prefixed_with(
-    net: &MsdNet,
-    fused: &Tensor,
-    samples: usize,
-    seed: u64,
-    origin: (usize, usize),
-    parallel: bool,
-    pool: &WsPool,
-    kernels: &el_kernels::ResolvedKernels,
-) -> BayesStats {
-    assert!(samples > 0, "at least one Monte-Carlo sample is required");
-    el_metrics::registry().samples_run.add(samples as u64);
-    let (h, w) = (fused.height(), fused.width());
-    let stat_len = net.classes() * h * w;
-    let shape = (net.classes(), h, w);
-    let chunks = chunk_layout(samples);
-    let partials: Vec<Welford> = if parallel {
-        chunks
-            .into_par_iter()
-            .map(|(start, len)| {
-                pool.with(|ws| {
-                    run_chunk_with(net, fused, seed, origin, start, len, stat_len, ws, kernels)
-                })
-            })
-            .collect()
-    } else {
-        chunks
-            .into_iter()
-            .map(|(start, len)| {
-                pool.with(|ws| {
-                    run_chunk_with(net, fused, seed, origin, start, len, stat_len, ws, kernels)
-                })
-            })
-            .collect()
-    };
-    stats_from(partials, samples, shape)
+    match rows {
+        Some(rows) => write_rows(total, rows, samples),
+        None if first == 0 => out.push(std::mem::take(total)),
+        None => {}
+    }
+    out
 }
 
 /// Runs Monte-Carlo-dropout inference on an input tensor.
 ///
 /// The network's stochastic suffix runs `samples` times — dropout live,
 /// different neurons dropped each pass, exactly the paper's Bayesian
-/// MSDnet — with the sample chunks spread over rayon workers, and the
+/// MSDnet — with the input's row bands spread over rayon workers, and the
 /// per-pixel softmax scores aggregated into mean and standard deviation
 /// by streaming Welford accumulation (see the module docs for why this is
 /// deterministic and O(1) memory in the sample count).
@@ -621,7 +685,7 @@ pub fn bayesian_segment_tensor(
     samples: usize,
     seed: u64,
 ) -> BayesStats {
-    mc_stats(net, input, samples, seed, (0, 0), true)
+    crop_stats(net, input, samples, seed, (0, 0), true)
 }
 
 /// [`bayesian_segment_tensor`] for a crop located at `origin = (row, col)`
@@ -642,7 +706,7 @@ pub fn bayesian_segment_tensor_at(
     seed: u64,
     origin: (usize, usize),
 ) -> BayesStats {
-    mc_stats(net, input, samples, seed, origin, true)
+    crop_stats(net, input, samples, seed, origin, true)
 }
 
 /// Single-threaded variant of [`bayesian_segment_tensor`]: the identical
@@ -654,36 +718,24 @@ pub fn bayesian_segment_tensor_sequential(
     samples: usize,
     seed: u64,
 ) -> BayesStats {
-    mc_stats(net, input, samples, seed, (0, 0), false)
+    crop_stats(net, input, samples, seed, (0, 0), false)
 }
 
 /// Batched Monte-Carlo-dropout inference: verifies every crop of a batch
 /// in one engine invocation.
 ///
 /// Crop `i` uses its own seed `seeds[i]` and frame origin `origins[i]`
-/// (pass `(0, 0)` for standalone crops). The batch shares one machine:
-///
-/// - every branch convolution of the Monte-Carlo-invariant prefixes runs
-///   as a **single** column-stacked im2col GEMM across all crops
-///   ([`MsdNet::mc_prefix_batch`]);
-/// - the Monte-Carlo sample chunks of **all** crops flow through one
-///   rayon work queue — `crops x chunks` independent tasks in a single
-///   `par_iter` instead of `N` sequential per-crop pools, so workers
-///   never idle at a per-crop join barrier while another crop still has
-///   work;
-/// - each task stays on one crop, keeping its working set (prefix,
-///   masked activations, Welford partials) cache-resident, and scratch
-///   arenas are pooled across the whole invocation rather than re-warmed
-///   per crop — unless the whole batch's per-sample activations fit the
-///   cache budget, in which case each sample's suffix runs as two
-///   column-stacked GEMMs covering every crop at once
-///   ([`MsdNet::mc_sample_stacked`]); the strategies are bit-identical.
+/// (pass `(0, 0)` for standalone crops). The row bands of **all** crops
+/// flow through one rayon work queue of the band-major engine, so
+/// workers never idle at a per-crop join barrier while another crop
+/// still has work, each task stays cache-resident on one band, and
+/// scratch is pooled across the whole invocation rather than re-warmed
+/// per crop.
 ///
 /// Element `i` of the result is **bit-identical** to
 /// `bayesian_segment_tensor_at(net, inputs[i], samples, seeds[i],
-/// origins[i])` (property-tested): the stacked GEMM computes each column
-/// independently in the same reduction order, the coordinate-keyed masks
-/// depend only on `(seed, global coordinates)`, and the Welford chunk
+/// origins[i])` (property-tested): the coordinate-keyed masks depend
+/// only on `(seed, global coordinates)`, and the Welford chunk
 /// partition and merge order are the same fixed functions of `samples`.
 ///
 /// # Panics
@@ -701,71 +753,20 @@ pub fn bayesian_segment_batch(
         inputs.len() == seeds.len() && inputs.len() == origins.len(),
         "batch inputs must be parallel"
     );
-    if inputs.is_empty() {
-        return Vec::new();
-    }
-    el_metrics::registry()
-        .samples_run
-        .add((samples * inputs.len()) as u64);
-    let mut ws = Workspace::new();
-    let fused = net.mc_prefix_batch(inputs, &mut ws);
-    let chunks = chunk_layout(samples);
-    let pool = WsPool::new();
-    let fused_ref = &fused;
-    // Two bit-identical suffix strategies, picked by working-set size: a
-    // batch small enough to keep every crop's per-sample activations
-    // cache-resident runs each sample's suffix as whole-batch stacked
-    // GEMMs; larger batches run per-crop, cache-local chunk tasks.
-    let cfg = net.config();
-    let fc = cfg.branch_channels * cfg.dilations.len();
-    let n_total: usize = inputs.iter().map(|t| t.height() * t.width()).sum();
-    let stacked = (fc + cfg.head_hidden + cfg.classes) * n_total <= STACKED_SUFFIX_BUDGET;
-    let per_crop_partials: Vec<Vec<Welford>> = if stacked {
-        let fused_refs: Vec<&Tensor> = fused.iter().collect();
-        let per_chunk: Vec<Vec<Welford>> = chunks
-            .into_par_iter()
-            .map(|(start, len)| {
-                pool.with(|ws| run_chunk_stacked(net, &fused_refs, seeds, origins, start, len, ws))
-            })
-            .collect();
-        // Transpose chunk-major to crop-major, preserving chunk order.
-        let mut per_crop: Vec<Vec<Welford>> = (0..inputs.len()).map(|_| Vec::new()).collect();
-        for chunk in per_chunk {
-            for (crop, partial) in chunk.into_iter().enumerate() {
-                per_crop[crop].push(partial);
-            }
-        }
-        per_crop
-    } else {
-        // One shared work queue over all (crop, chunk) tasks, ordered
-        // crop-major so the flat result groups back per crop trivially.
-        let tasks: Vec<(usize, usize, usize)> = (0..inputs.len())
-            .flat_map(|crop| chunks.iter().map(move |&(start, len)| (crop, start, len)))
-            .collect();
-        let n_chunks = chunks.len();
-        let partials: Vec<Welford> = tasks
-            .into_par_iter()
-            .map(|(crop, start, len)| {
-                let f = &fused_ref[crop];
-                let stat_len = net.classes() * f.height() * f.width();
-                pool.with(|ws| {
-                    run_chunk(net, f, seeds[crop], origins[crop], start, len, stat_len, ws)
-                })
-            })
-            .collect();
-        let mut partials = partials.into_iter();
-        (0..inputs.len())
-            .map(|_| partials.by_ref().take(n_chunks).collect())
-            .collect()
-    };
-    per_crop_partials
-        .into_iter()
-        .zip(inputs)
-        .map(|(crop_partials, input)| {
-            let shape = (net.classes(), input.height(), input.width());
-            stats_from(crop_partials, samples, shape)
-        })
-        .collect()
+    let jobs: Vec<McJob> = inputs
+        .iter()
+        .zip(seeds)
+        .zip(origins)
+        .map(|((&input, &seed), &origin)| McJob::whole(input, seed, origin))
+        .collect();
+    mc_stats(
+        net,
+        &jobs,
+        samples,
+        true,
+        &ScratchPool::new(),
+        &ResolvedKernels::active_exact(),
+    )
 }
 
 /// The pre-optimization baseline: naive scalar convolution
@@ -797,7 +798,7 @@ pub fn bayesian_segment_tensor_reference(
             .push(probs.as_slice());
     }
     let shape = (net.classes(), input.height(), input.width());
-    stats_from(vec![acc.expect("samples > 0")], samples, shape)
+    stats_from(acc.expect("samples > 0"), samples, shape)
 }
 
 /// Runs Monte-Carlo-dropout inference on a rendered image.
@@ -806,6 +807,9 @@ pub fn bayesian_segment_tensor_reference(
 pub fn bayesian_segment(net: &MsdNet, image: &Image, samples: usize, seed: u64) -> BayesStats {
     bayesian_segment_tensor(net, &image_to_tensor(image), samples, seed)
 }
+
+#[cfg(test)]
+mod band_tests;
 
 #[cfg(test)]
 mod tests {
@@ -952,33 +956,20 @@ mod tests {
 
     #[test]
     fn batch_matches_single_crop_bitwise() {
-        // Small crops: the stacked-suffix branch.
-        assert_batch_strategy_matches_single(&[(10, 10), (7, 9), (12, 5)], true);
+        assert_batch_matches_single(&[(10, 10), (7, 9), (12, 5)]);
         let (net, _) = setup();
         assert!(bayesian_segment_batch(&net, &[], 4, &[], &[]).is_empty());
     }
 
     #[test]
     fn batch_per_crop_branch_matches_single_crop_bitwise() {
-        // Candidate-zone-sized crops: exceeds STACKED_SUFFIX_BUDGET and
-        // takes the shared (crop x chunk) work-queue branch — the branch
-        // the paper config's candidate crops always take in production.
-        assert_batch_strategy_matches_single(&[(45, 45), (40, 40), (33, 41)], false);
+        // Candidate-zone-sized crops, several row bands each.
+        assert_batch_matches_single(&[(45, 45), (40, 40), (33, 41)]);
     }
 
-    /// Drives one batch against per-crop verification, asserting first
-    /// that the size set selects the intended suffix strategy (so each
-    /// caller provably covers its branch).
-    fn assert_batch_strategy_matches_single(sizes: &[(usize, usize)], expect_stacked: bool) {
+    /// Drives one batch against per-crop verification.
+    fn assert_batch_matches_single(sizes: &[(usize, usize)]) {
         let (net, _) = setup();
-        let cfg = net.config();
-        let factor = cfg.branch_channels * cfg.dilations.len() + cfg.head_hidden + cfg.classes;
-        let n_total: usize = sizes.iter().map(|&(h, w)| h * w).sum();
-        assert_eq!(
-            factor * n_total <= STACKED_SUFFIX_BUDGET,
-            expect_stacked,
-            "size set selects the wrong suffix strategy for this test"
-        );
         let inputs: Vec<Tensor> = sizes
             .iter()
             .enumerate()

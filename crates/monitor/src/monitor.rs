@@ -147,11 +147,10 @@ impl Monitor {
     /// `seed + (i+1)·`[`BATCH_SEED_STRIDE`] — the same per-trial seed
     /// chain the sequential decision loop uses — so report `i` is
     /// **bit-identical** to `verify(net, &crops[i], seed + (i+1)·stride)`
-    /// (property-tested). The batch shares one machine: each prefix
-    /// convolution runs as a single column-stacked GEMM over every crop,
-    /// all crops' Monte-Carlo chunks drain one shared rayon work queue
-    /// instead of `N` sequential pools with a join barrier per crop, and
-    /// scratch arenas are pooled across the whole batch (see
+    /// (property-tested). The batch shares one machine: all crops' row
+    /// bands drain one shared rayon work queue instead of `N`
+    /// sequential pools with a join barrier per crop, and scratch
+    /// arenas are pooled across the whole batch (see
     /// [`bayesian_segment_batch`]).
     pub fn verify_batch(&self, net: &MsdNet, crops: &[Image], seed: u64) -> Vec<MonitorReport> {
         let seeds: Vec<u64> = (0..crops.len()).map(|i| batch_seed(seed, i)).collect();

@@ -25,11 +25,11 @@
 //!   the exact path.
 
 use el_kernels::{ApproxRung, Contract, KernelPolicy, ResolvedKernels};
-use el_nn::{Tensor, Workspace};
+use el_nn::Tensor;
 use el_seg::MsdNet;
 use serde::{Deserialize, Serialize};
 
-use crate::bayes::{mc_stats_prefixed, mc_stats_prefixed_with, BayesStats, WsPool};
+use crate::bayes::{mc_stats, BayesStats, McJob, ScratchPool};
 
 /// Default fraction of verified tiles re-run through the exact path by
 /// the online cross-check: 1 in 8.
@@ -137,24 +137,17 @@ impl AuditPrecision {
     ) -> Result<Self, el_kernels::KernelError> {
         assert!(!crops.is_empty(), "calibration needs at least one crop");
         let kernels = KernelPolicy::approximate(rung).resolve()?;
-        let pool = WsPool::new();
-        let mut ws = Workspace::new();
+        let exact_kernels = ResolvedKernels::active_exact();
+        let pool = ScratchPool::new();
         let mut worst = 0.0f32;
         for (i, crop) in crops.iter().enumerate() {
-            let crop_seed = seed.wrapping_add(i as u64);
-            let fused = net.mc_prefix(crop, &mut ws);
-            let exact = mc_stats_prefixed(net, &fused, samples, crop_seed, (0, 0), false, &pool);
-            let approx = mc_stats_prefixed_with(
-                net,
-                &fused,
-                samples,
-                crop_seed,
-                (0, 0),
-                false,
-                &pool,
-                &kernels,
-            );
-            ws.recycle(fused);
+            let job = [McJob::whole(crop, seed.wrapping_add(i as u64), (0, 0))];
+            let stats = |k: &ResolvedKernels| {
+                mc_stats(net, &job, samples, false, &pool, k)
+                    .pop()
+                    .expect("one job in, one result out")
+            };
+            let (exact, approx) = (stats(&exact_kernels), stats(&kernels));
             worst = worst.max(stats_divergence(&approx, &exact));
         }
         Ok(AuditPrecision {

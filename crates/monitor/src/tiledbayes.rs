@@ -29,7 +29,7 @@
 //!
 //! **Kept-interior evaluation.** Each tile computes only what it keeps:
 //! the invariant prefix is evaluated at the tile's kept interior
-//! ([`MsdNet::mc_prefix_batch_windowed`] — the margin feeds the branch
+//! ([`MsdNet::mc_prefix_window`] — the margin feeds the branch
 //! convolutions' taps but is never itself computed), and every
 //! Monte-Carlo sample's suffix runs on those kept columns with the mask
 //! origin shifted to the keep's top-left. The heads are 1x1 and the
@@ -37,6 +37,8 @@
 //! whole tile would produce there, and stitching is a plain copy. At the
 //! paper geometry (256 px frames, 128 px tiles, 8 px margin) this skips
 //! the 55.6% of tile columns a full-tile pass computed and discarded.
+//! The kept interior itself runs band-major, one cache-resident row
+//! band at a time ([`crate::bayes`], engine design item 6).
 //!
 //! The audit sweep — and only the audit sweep — may additionally opt
 //! into an **approximate contract**
@@ -56,10 +58,9 @@ use el_scene::Image;
 use el_seg::data::image_to_tensor;
 use el_seg::{plan_tiles, prioritize_tiles, MsdNet, Tile, TileConfig};
 
-use el_nn::layers::Window;
-use el_nn::Workspace;
+use el_kernels::ResolvedKernels;
 
-use crate::bayes::{mc_stats_prefixed, mc_stats_prefixed_with, BayesStats, WsPool};
+use crate::bayes::{mc_stats, BayesStats, McJob, ScratchPool};
 use crate::precision::{
     crosscheck_tile, resolve_validated, stats_divergence, AuditPrecision, PrecisionOutcome,
 };
@@ -107,7 +108,7 @@ impl TiledBayesStats {
 /// time is polled once, an EWMA of the measured per-tile cost is
 /// maintained from successive polls, and the tile is admitted only while
 /// `elapsed + (pending + 1) · avg < budget` (`pending` the tiles already
-/// admitted into the current prefix group) — so a batched prefix group
+/// admitted into the current admission group) — so an admitted group
 /// can no longer overrun the budget by a trailing tile once a cost
 /// measurement exists. Until the first group has been measured the raw
 /// `elapsed < budget` check applies. On expiry the partial result is
@@ -159,26 +160,24 @@ fn paste(dst: &mut Tensor, src: &Tensor, origin: (usize, usize)) {
     }
 }
 
-/// Pixel-column budget of one batched prefix group: consecutive admitted
-/// tiles whose combined kept-pixel count stays within it share one
-/// column-stacked prefix GEMM per branch
-/// ([`MsdNet::mc_prefix_batch_windowed`]). Purely a performance knob —
-/// any partition is bit-identical.
-const PREFIX_GROUP_COLUMNS: usize = 32 * 1024;
+/// Pixel-column budget of one admission group: consecutive tiles whose
+/// combined kept-pixel count stays within it are admitted together,
+/// between two clock polls, before any of them runs.
+const ADMIT_GROUP_COLUMNS: usize = 32 * 1024;
 
-/// Hard cap on tiles per prefix group, whatever the tile size. The clock
-/// is polled at *admission*, before any of the group's Monte-Carlo work
-/// runs — this cap keeps the admitted-but-unmeasured backlog to at most
-/// two tiles (small audit tiles would otherwise pack dozens of tiles
-/// under the column budget), and the predictive admission check
-/// ([`TILE_COST_EWMA_ALPHA`]) charges every pending group tile against
-/// the budget, so an admitted group no longer overruns it once a
-/// per-tile cost measurement exists.
-const PREFIX_GROUP_TILES: usize = 2;
+/// Hard cap on tiles per admission group, whatever the tile size. The
+/// clock is polled at *admission*, before any of the group's
+/// Monte-Carlo work runs — this cap keeps the admitted-but-unmeasured
+/// backlog to at most two tiles (small audit tiles would otherwise pack
+/// dozens of tiles under the column budget), and the predictive
+/// admission check ([`TILE_COST_EWMA_ALPHA`]) charges every pending
+/// group tile against the budget, so an admitted group no longer
+/// overruns it once a per-tile cost measurement exists.
+const ADMIT_GROUP_TILES: usize = 2;
 
 /// EWMA smoothing factor for the measured per-tile cost that drives
 /// predictive admission. Successive admission polls bracket the
-/// processing of a prefix group, so `(poll_delta / tiles_processed)` is
+/// processing of an admission group, so `(poll_delta / tiles_processed)` is
 /// a direct per-tile cost sample; the EWMA tracks drift (cache warmup,
 /// load) while damping one-off spikes. Admission stops when
 /// `elapsed + (pending + 1) · avg >= budget`.
@@ -186,7 +185,7 @@ const TILE_COST_EWMA_ALPHA: f64 = 0.5;
 
 /// [`bayesian_segment_tiled`] with an injectable clock: `elapsed_s`
 /// returns seconds since the pass began and is polled once **before each
-/// tile** (at its admission into the current prefix group); per-tile
+/// tile** (at its admission into the current admission group); per-tile
 /// cost for the predictive admission check is derived from the deltas of
 /// those same polls, so the clock remains the single source of time.
 /// Production passes wall-clock time; tests pass a deterministic fake
@@ -277,10 +276,10 @@ pub fn bayesian_segment_tiled_precise_with_clock(
     let mut std = Tensor::zeros(classes, h, w);
     let mut covered = Grid::new(w, h, false);
     let mut verified: Vec<usize> = Vec::new();
-    // One scratch arena (prefix/im2col) and one chunk-task pool warm up
-    // on the first group and serve every subsequent tile.
-    let mut ws = Workspace::new();
-    let pool = WsPool::new();
+    // One scratch pool warms up on the first tile and serves every
+    // subsequent one.
+    let pool = ScratchPool::new();
+    let exact = ResolvedKernels::active_exact();
     // Approximate contracts resolve their kernels once, up front; a
     // policy that cannot resolve panics here (configuration validation
     // rejects it long before a frame reaches this point).
@@ -298,15 +297,12 @@ pub fn bayesian_segment_tiled_precise_with_clock(
         },
         ..PrecisionOutcome::exact()
     };
-    // Tiles are admitted in cache-budgeted groups whose invariant
-    // prefixes share one batched engine invocation
-    // ([`MsdNet::mc_prefix_batch_windowed`] — a single column-stacked
-    // im2col GEMM per branch). The budget clock is polled once per tile, at
-    // admission; successive poll deltas bracket the processing of a
-    // group, yielding the per-tile cost samples behind the predictive
-    // stop (`elapsed + (pending + 1) · avg >= budget`). Grouping is a
-    // pure performance knob — the batched prefix is bit-identical to the
-    // per-tile prefix.
+    // Tiles are admitted in small groups, and each admitted tile then
+    // runs through the band-major statistics engine on its own. The
+    // budget clock is polled once per tile, at admission; successive
+    // poll deltas bracket the processing of a group, yielding the
+    // per-tile cost samples behind the predictive stop
+    // (`elapsed + (pending + 1) · avg >= budget`).
     let mut pos = 0usize;
     let mut expired = false;
     // (clock value, tiles verified by then) at the previous admission
@@ -322,7 +318,7 @@ pub fn bayesian_segment_tiled_precise_with_clock(
         while pos < order.len() {
             let hw = tiles[order[pos]].keep_window().area();
             if !group.is_empty()
-                && (group.len() >= PREFIX_GROUP_TILES || cols + hw > PREFIX_GROUP_COLUMNS)
+                && (group.len() >= ADMIT_GROUP_TILES || cols + hw > ADMIT_GROUP_COLUMNS)
             {
                 break;
             }
@@ -359,26 +355,33 @@ pub fn bayesian_segment_tiled_precise_with_clock(
             .iter()
             .map(|&i| image_to_tensor(&image.crop(tiles[i].rect).expect("tile within image")))
             .collect();
-        let refs: Vec<&Tensor> = inputs.iter().collect();
-        let windows: Vec<Window> = group.iter().map(|&i| tiles[i].keep_window()).collect();
-        let fused = net.mc_prefix_batch_windowed(&refs, &windows, &mut ws);
-        for (&i, f) in group.iter().zip(&fused) {
-            // The suffix runs on the kept columns only, keyed at the
-            // keep's frame origin.
+        for (&i, input) in group.iter().zip(&inputs) {
+            // Statistics of the kept interior only, keyed at the keep's
+            // frame origin.
             let keep = tiles[i].keep_rect();
             let origin = (keep.y as usize, keep.x as usize);
+            let job = [McJob {
+                input,
+                window: tiles[i].keep_window(),
+                seed,
+                origin,
+            }];
+            let stats_with = |kernels: &ResolvedKernels| {
+                mc_stats(net, &job, samples, true, &pool, kernels)
+                    .pop()
+                    .expect("one job in, one result out")
+            };
             let tile_sw = el_metrics::Stopwatch::start();
             // The cross-check selection hashes the *plan* index `i`, not
             // the verification position, so the checked tile set is
             // independent of priority ordering and budget truncation.
             let stats = match &approx_kernels {
                 Some(kernels) if !outcome.fell_back => {
-                    let approx =
-                        mc_stats_prefixed_with(net, f, samples, seed, origin, true, &pool, kernels);
+                    let approx = stats_with(kernels);
                     if crosscheck_tile(seed, i, precision.crosscheck_fraction) {
                         outcome.tiles_crosschecked += 1;
                         el_metrics::registry().audit_crosschecks.add(1);
-                        let exact = mc_stats_prefixed(net, f, samples, seed, origin, true, &pool);
+                        let exact = stats_with(&exact);
                         let div = stats_divergence(&approx, &exact);
                         outcome.max_divergence = outcome.max_divergence.max(div);
                         if div > precision.divergence_tolerance {
@@ -403,9 +406,9 @@ pub fn bayesian_segment_tiled_precise_with_clock(
                 Some(_) => {
                     // Post-fallback: the remainder of the sweep is exact.
                     outcome.tiles_fallback += 1;
-                    mc_stats_prefixed(net, f, samples, seed, origin, true, &pool)
+                    stats_with(&exact)
                 }
-                None => mc_stats_prefixed(net, f, samples, seed, origin, true, &pool),
+                None => stats_with(&exact),
             };
             el_metrics::registry().tile_cost.record(tile_sw);
             debug_assert_eq!(
@@ -418,9 +421,6 @@ pub fn bayesian_segment_tiled_precise_with_clock(
                 covered[(p.x as usize, p.y as usize)] = true;
             }
             verified.push(i);
-        }
-        for f in fused {
-            ws.recycle(f);
         }
     }
     let tiles_verified = verified.len();

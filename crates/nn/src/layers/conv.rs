@@ -548,7 +548,43 @@ impl Window {
     pub fn area(&self) -> usize {
         self.h * self.w
     }
+
+    /// The band planner: splits the window, top to bottom, into **row
+    /// bands** — runs of full-width rows that partition it exactly, in
+    /// order. Every band but the last spans a whole number of *aligned
+    /// row groups* (the fewest rows whose column count is a multiple of
+    /// [`BAND_ALIGN_COLUMNS`]), as many groups as fit `max_cols` columns
+    /// and at least one, so a band exceeds `max_cols` only when one
+    /// aligned group alone does. The last band takes the remaining rows.
+    ///
+    /// Every band therefore starts at a multiple of
+    /// [`BAND_ALIGN_COLUMNS`] columns into the window's row-major
+    /// pixel order, which is what keeps a GEMM over one band
+    /// bit-identical to the same columns of a whole-window GEMM on every
+    /// kernel rung (see `docs/kernels.md`).
+    pub fn row_bands(&self, max_cols: usize) -> Vec<Window> {
+        let group = (1..=BAND_ALIGN_COLUMNS)
+            .find(|rows| (rows * self.w).is_multiple_of(BAND_ALIGN_COLUMNS))
+            .expect("BAND_ALIGN_COLUMNS rows are always aligned");
+        let rows = group * (max_cols / (group * self.w).max(1)).max(1);
+        (0..self.h)
+            .step_by(rows)
+            .map(|y| Window {
+                y0: self.y0 + y,
+                h: rows.min(self.h - y),
+                ..*self
+            })
+            .collect()
+    }
 }
+
+/// Column alignment of the row bands ([`Window::row_bands`]): two
+/// 32-column AVX-512 GEMM tiles, and the int8 rung's activation
+/// quantisation group (`el_kernels::approx::INT8_GROUP_COLS`). A band
+/// that starts on this alignment meets the same tile and quantisation
+/// boundaries as the whole window, so banding moves no column onto the
+/// scalar GEMM tail and changes no int8 scale.
+pub const BAND_ALIGN_COLUMNS: usize = el_kernels::approx::INT8_GROUP_COLS;
 
 /// Element budget (`k_dim x columns`) of one batched im2col group in
 /// [`Conv2d::forward_batch_with`] — 64 Ki f32 = 256 KB, an L2-resident
@@ -928,5 +964,43 @@ mod tests {
         assert_eq!(back.weight(), conv.weight());
         assert_eq!(back.bias(), conv.bias());
         assert_eq!(back.dilation(), 2);
+    }
+
+    #[test]
+    fn row_bands_partition_the_window_within_budget_and_aligned() {
+        for w in [1usize, 7, 16, 45, 53, 64, 120, 129, 256] {
+            for h in [1usize, 2, 9, 70, 130] {
+                for max_cols in [1usize, 64, 300, 1024, 4096] {
+                    let win = Window { y0: 3, x0: 5, h, w };
+                    let bands = win.row_bands(max_cols);
+                    let group = (1..=BAND_ALIGN_COLUMNS)
+                        .find(|r| (r * w).is_multiple_of(BAND_ALIGN_COLUMNS))
+                        .unwrap();
+                    let mut next = win.y0;
+                    for (i, b) in bands.iter().enumerate() {
+                        let last = i + 1 == bands.len();
+                        assert_eq!((b.x0, b.w), (win.x0, win.w), "bands span full rows");
+                        assert_eq!(b.y0, next, "bands are in order, gapless, disjoint");
+                        assert!(b.h > 0);
+                        next += b.h;
+                        assert!(
+                            b.area() <= max_cols || b.h == group || (last && b.h < group),
+                            "{w}x{h} band {b:?} over a {max_cols}-column budget"
+                        );
+                        if !last {
+                            assert_eq!(b.area() % BAND_ALIGN_COLUMNS, 0, "{w}x{h} {b:?}");
+                        }
+                    }
+                    assert_eq!(next, win.y0 + h, "bands cover the window");
+                }
+            }
+        }
+        let empty = Window {
+            y0: 0,
+            x0: 0,
+            h: 0,
+            w: 8,
+        };
+        assert!(empty.row_bands(1024).is_empty());
     }
 }

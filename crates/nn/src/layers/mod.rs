@@ -15,7 +15,7 @@ mod dropout;
 mod relu;
 mod sequential;
 
-pub use conv::{Conv2d, Window};
+pub use conv::{Conv2d, Window, BAND_ALIGN_COLUMNS};
 pub use dropout::{keyed_mask_word, keyed_row_seed, Dropout};
 pub use relu::Relu;
 pub use sequential::{LayerKind, Sequential};

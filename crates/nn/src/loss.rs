@@ -58,7 +58,10 @@ pub fn softmax_in_place(logits: &mut Tensor) {
         for k in 0..c {
             let row = &mut data[k * hw + p0..][..n];
             for ((v, &m), s) in row.iter_mut().zip(max.iter()).zip(sum.iter_mut()) {
-                let e = (*v - m).exp();
+                // exp(±0) is exactly 1 (IEEE 754 / C Annex F), so the
+                // pixel's maximum skips the libm call.
+                let d = *v - m;
+                let e = if d == 0.0 { 1.0 } else { d.exp() };
                 *v = e;
                 *s += e;
             }

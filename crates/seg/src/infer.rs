@@ -33,9 +33,13 @@ pub fn segment_tensor(net: &mut MsdNet, input: &Tensor) -> SegResult {
 }
 
 /// Workspace-reusing variant of [`segment`]: repeated calls with a warm
-/// workspace perform zero heap allocations in the network forward pass.
+/// workspace allocate no activation buffer in the network forward pass.
 ///
-/// Deterministic Eval inference never mutates the network, hence `&MsdNet`.
+/// The forward pass runs band-major ([`MsdNet::forward_eval`]): one
+/// cache-resident row band of at most [`crate::BAND_COLUMNS`] pixels at
+/// a time, bit-identical to a whole-frame pass; softmax and argmax then
+/// run once over the whole logits tensor. Deterministic Eval inference
+/// never mutates the network, hence `&MsdNet`.
 pub fn segment_ws(net: &MsdNet, image: &Image, ws: &mut Workspace) -> SegResult {
     segment_tensor_ws(net, &image_to_tensor(image), ws)
 }

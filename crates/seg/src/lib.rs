@@ -38,7 +38,7 @@ pub mod train;
 
 pub use infer::{segment, segment_ws, SegResult};
 pub use metrics::ConfusionMatrix;
-pub use msdnet::{MsdNet, MsdNetConfig};
+pub use msdnet::{MsdNet, MsdNetConfig, BAND_COLUMNS};
 pub use tiled::{
     plan_tiles, prioritize_tiles, segment_tiled, segment_tiled_reference, Tile, TileConfig,
 };

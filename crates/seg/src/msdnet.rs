@@ -120,6 +120,15 @@ pub struct MsdNet {
     head2: Conv2d,
 }
 
+/// Column budget of one row band ([`Window::row_bands`]) in the
+/// whole-window passes — [`MsdNet::forward_eval`] and the Monte-Carlo
+/// statistics engine in `el-monitor`. A band's working set is about
+/// 1 KB per column for the default network (prefix im2col, fused
+/// prefix, masked copy, hidden layer, logits and the Welford partials),
+/// so 1024 columns keep it resident in a 2 MB L2 with room to spare.
+/// Banding is bit-identical at any budget; this fixes the one in use.
+pub const BAND_COLUMNS: usize = 1024;
+
 /// Mask-key layer id of the branch-output dropout stage (the channel key
 /// is the **fused** channel index, so every branch keys distinctly).
 const MC_LAYER_BRANCH: u32 = 0;
@@ -204,8 +213,9 @@ impl MsdNet {
     ///
     /// No dropout layer precedes this computation, so the result is
     /// identical across all Monte-Carlo-dropout samples — the monitor
-    /// computes it **once** per verified crop and replays only the
-    /// stochastic suffix ([`MsdNet::mc_sample`]) per sample. Immutable on
+    /// computes it **once** per row band of a verified crop
+    /// ([`MsdNet::mc_prefix_window`]) and replays only the stochastic
+    /// suffix ([`MsdNet::mc_sample`]) per sample. Immutable on
     /// `self` and allocation-free with a warm workspace.
     pub fn mc_prefix(&self, input: &Tensor, ws: &mut Workspace) -> Tensor {
         let (h, w) = (input.height(), input.width());
@@ -287,9 +297,10 @@ impl MsdNet {
     /// crop ([`Conv2d::forward_batch_windowed`]): returned tensor `i` has
     /// shape `(fused channels, windows[i].h, windows[i].w)` and is
     /// bit-identical to that window cropped from `mc_prefix` on
-    /// `inputs[i]`. The tiled audit passes each tile's kept interior, so
-    /// margin pixels feed the branch convolutions' taps but are never
-    /// computed themselves.
+    /// `inputs[i]`. The tiled segmenter passes each tile's kept interior
+    /// and the row-band engines one band ([`MsdNet::mc_prefix_window`]),
+    /// so pixels outside the window feed the branch convolutions' taps
+    /// but are never computed themselves.
     ///
     /// # Panics
     ///
@@ -324,6 +335,21 @@ impl MsdNet {
                     .expect("fused buffer sized to the branch outputs")
             })
             .collect()
+    }
+
+    /// The Monte-Carlo-invariant prefix of `input` at one output window
+    /// ([`MsdNet::mc_prefix_batch_windowed`] for a single crop): shape
+    /// `(fused channels, window.h, window.w)`, bit-identical to that
+    /// window cropped from [`MsdNet::mc_prefix`]. The row-band engines
+    /// call this once per band.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the window leaves the input.
+    pub fn mc_prefix_window(&self, input: &Tensor, window: Window, ws: &mut Workspace) -> Tensor {
+        self.mc_prefix_batch_windowed(&[input], &[window], ws)
+            .pop()
+            .expect("one window in, one prefix out")
     }
 
     /// One Monte-Carlo-dropout sample with **coordinate-keyed** masks
@@ -440,95 +466,36 @@ impl MsdNet {
         Tensor::from_vec(self.config.classes, h, w, out).expect("suffix buffer sized to the logits")
     }
 
-    /// Whole-batch variant of [`MsdNet::mc_sample_at`]: runs one
-    /// Monte-Carlo sample's stochastic suffix for **every** crop at once
-    /// by column-stacking the masked prefixes and pushing the stack
-    /// through each 1x1 head convolution as a single GEMM
-    /// ([`Conv2d::forward_columns`]).
+    /// Deterministic (Eval-phase) inference through the engine, one
+    /// **row band** at a time ([`Window::row_bands`] at
+    /// [`BAND_COLUMNS`]): each band's windowed prefix
+    /// ([`MsdNet::mc_prefix_window`]) goes straight through the
+    /// dropout-free head ([`MsdNet::eval_head_columns`]) while it is
+    /// cache-resident, and only the band's logits are written out — the
+    /// frame's multi-megabyte fused prefix and hidden layer are never
+    /// materialised.
     ///
-    /// `fused`, `seeds` and `origins` run parallel: crop `i` uses its own
-    /// per-sample seed and frame origin, so column block `i` of the
-    /// returned `(classes, 1, Σ h·w)` stacked logits is bit-identical to
-    /// `mc_sample_at(fused[i], seeds[i], origins[i])` (property-tested).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the slices disagree in length or the batch is empty.
-    pub fn mc_sample_stacked(
-        &self,
-        fused: &[&Tensor],
-        seeds: &[u64],
-        origins: &[(usize, usize)],
-        ws: &mut Workspace,
-    ) -> Tensor {
-        assert!(
-            !fused.is_empty() && fused.len() == seeds.len() && fused.len() == origins.len(),
-            "batch inputs must be non-empty and parallel"
-        );
-        let bc = self.config.branch_channels;
-        let fc = bc * self.branches.len();
-        let n_total: usize = fused.iter().map(|t| t.height() * t.width()).sum();
-        let mut x = ws.take(fc * n_total);
-        let mut off = 0usize;
-        for ((f, &seed), &origin) in fused.iter().zip(seeds).zip(origins) {
-            let (c, h, w) = f.shape();
-            assert_eq!(c, fc, "prefix tensor must have the fused channel count");
-            let hw = h * w;
-            for (bi, b) in self.branches.iter().enumerate() {
-                b.drop.apply_mc_keyed(
-                    &f.as_slice()[bi * bc * hw..(bi + 1) * bc * hw],
-                    h,
-                    w,
-                    &mut x[bi * bc * n_total..],
-                    n_total,
-                    off,
-                    seed,
-                    MC_LAYER_BRANCH,
-                    bi * bc,
-                    origin,
-                );
-            }
-            off += hw;
-        }
-        let mut y = self.head1.forward_columns(&x, n_total, ws);
-        ws.give(x);
-        Relu::apply_slice(&mut y);
-        let mut off = 0usize;
-        for ((f, &seed), &origin) in fused.iter().zip(seeds).zip(origins) {
-            let (_, h, w) = f.shape();
-            self.head_drop.apply_mc_keyed_in_place(
-                &mut y,
-                self.config.head_hidden,
-                h,
-                w,
-                n_total,
-                off,
-                seed,
-                MC_LAYER_HEAD,
-                0,
-                origin,
-            );
-            off += h * w;
-        }
-        let out = self.head2.forward_columns(&y, n_total, ws);
-        ws.give(y);
-        Tensor::from_vec(self.config.classes, 1, n_total, out)
-            .expect("stacked buffer sized to the logits")
-    }
-
-    /// Deterministic (Eval-phase) inference through the engine: the
-    /// dropout layers are identities, so this is [`MsdNet::mc_prefix`]
-    /// plus the dropout-free head. Identical values to
-    /// `forward(.., Phase::Eval, ..)`, immutable on `self`, and
-    /// allocation-free with a warm workspace.
+    /// Identical values to `forward(.., Phase::Eval, ..)`: the windowed
+    /// im2col equals the cropped whole-input output, the heads are 1x1,
+    /// and each GEMM column reduces over `k` in a fixed order. Immutable
+    /// on `self`; with a warm workspace no activation buffer is
+    /// allocated (each band costs only a few small bookkeeping vectors).
     pub fn forward_eval(&self, input: &Tensor, ws: &mut Workspace) -> Tensor {
-        let fused = self.mc_prefix(input, ws);
-        let mut y = self.head1.forward_with(&fused, ws);
-        ws.recycle(fused);
-        Relu::apply(&mut y);
-        let out = self.head2.forward_with(&y, ws);
-        ws.recycle(y);
-        out
+        let (h, w) = (input.height(), input.width());
+        let (classes, hw) = (self.config.classes, h * w);
+        let mut out = ws.take(classes * hw);
+        for band in Window::full(input).row_bands(BAND_COLUMNS) {
+            let fused = self.mc_prefix_window(input, band, ws);
+            let n = band.area();
+            let logits = self.eval_head_columns(fused.as_slice(), n, ws);
+            ws.recycle(fused);
+            let at = band.y0 * w;
+            for c in 0..classes {
+                out[c * hw + at..c * hw + at + n].copy_from_slice(&logits[c * n..(c + 1) * n]);
+            }
+            ws.give(logits);
+        }
+        Tensor::from_vec(classes, h, w, out).expect("workspace buffer sized to the logits")
     }
 
     /// Applies the deterministic fusion head (`head1 → relu → head2`) to
@@ -867,6 +834,24 @@ mod tests {
         let eval_ws = net.forward_ws(&x, Phase::Eval, &mut r.clone(), &mut ws);
         assert_eq!(eval_fwd, eval_ws, "forward_ws diverges from forward");
 
+        // Banded Eval on the default network, several bands tall at odd
+        // widths (53 and 45 columns: 64-row aligned groups; 129: 64 rows
+        // of 8256 columns, over budget alone) — bit for bit.
+        let mut big = MsdNet::new(&MsdNetConfig::default_uavid(), &mut r);
+        for (h, w) in [(70usize, 53usize), (130, 45), (66, 129), (9, 256), (1, 7)] {
+            let x = Tensor::from_fn(3, h, w, |c, y, x| ((c * 7 + y * 5 + x) as f32 * 0.13).sin());
+            let bands = Window::full(&x).row_bands(BAND_COLUMNS).len();
+            assert!(bands > 1 || h < 64, "{h}x{w} should span several bands");
+            let fwd = big.forward(&x, Phase::Eval, &mut r.clone());
+            let eng = big.forward_eval(&x, &mut ws);
+            let bits = |t: &Tensor| t.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            assert_eq!(
+                bits(&fwd),
+                bits(&eng),
+                "banded forward_eval diverges at {h}x{w}"
+            );
+        }
+
         // Stochastic: prefix + sample must replay forward's RNG stream.
         let mut r1 = ChaCha8Rng::seed_from_u64(77);
         let stoch_fwd = net.forward(&x, Phase::Stochastic, &mut r1);
@@ -970,43 +955,6 @@ mod tests {
             );
         }
         assert!(net.forward_eval_batch(&[], &mut ws).is_empty());
-    }
-
-    #[test]
-    fn stacked_sample_matches_per_crop_columns() {
-        let mut r = rng();
-        let net = MsdNet::new(&MsdNetConfig::tiny(), &mut r);
-        let inputs: Vec<Tensor> = [(6usize, 8usize), (4, 4), (7, 3)]
-            .iter()
-            .enumerate()
-            .map(|(i, &(h, w))| {
-                Tensor::from_fn(3, h, w, move |c, y, x| {
-                    ((i * 29 + c * 7 + y * 3 + x) as f32 * 0.23).cos()
-                })
-            })
-            .collect();
-        let refs: Vec<&Tensor> = inputs.iter().collect();
-        let mut ws = Workspace::new();
-        let fused = net.mc_prefix_batch(&refs, &mut ws);
-        let fused_refs: Vec<&Tensor> = fused.iter().collect();
-        let seeds = [101u64, 202, 303];
-        let origins = [(0usize, 0usize), (16, 5), (2, 40)];
-        let stacked = net.mc_sample_stacked(&fused_refs, &seeds, &origins, &mut ws);
-        let n_total: usize = inputs.iter().map(|t| t.height() * t.width()).sum();
-        assert_eq!(stacked.shape(), (8, 1, n_total));
-        let mut off = 0usize;
-        for ((f, &seed), &origin) in fused.iter().zip(&seeds).zip(&origins) {
-            let single = net.mc_sample_at(f, seed, origin, &mut ws);
-            let hw = f.height() * f.width();
-            for o in 0..8 {
-                assert_eq!(
-                    &stacked.as_slice()[o * n_total + off..o * n_total + off + hw],
-                    single.channel(o),
-                    "stacked sample diverges on crop at {origin:?} class {o}"
-                );
-            }
-            off += hw;
-        }
     }
 
     #[test]
