@@ -4,8 +4,9 @@
 //! AVX2 → AVX-512F on x86_64, NEON on aarch64 — on the exact GEMM
 //! shapes the trained paper-config MSDnet lowers to (branch im2col,
 //! fusion head, classifier head; 48x48 verification crops and 128x128
-//! audit tiles), plus the coordinate-keyed mask rows and the ChaCha8
-//! refill. All tiers produce bit-identical outputs (property-tested in
+//! audit tiles), plus the coordinate-keyed mask rows, the Welford
+//! fold, the softmax `exp` rows and the ChaCha8 refill. All tiers
+//! produce bit-identical outputs (property-tested in
 //! `tests/kernel_tiers.rs` and asserted again here), so the tables are
 //! pure latency comparisons: this is the data BENCH tracks per tier.
 //!
@@ -231,6 +232,87 @@ fn print_welford_tiers(tiers: &[&'static Kernels]) {
     }
 }
 
+/// Best-of ns/element of one softmax `exp` sweep over `logits` in
+/// 256-pixel rows (zero maxima), and whether its output equals
+/// `expect` bit for bit. Every rep restores the logits first (the
+/// kernel works in place), so every row kernel pays the same copy.
+fn exp_sweep(
+    logits: &[f32],
+    expect: &[f32],
+    mut exp_row: impl FnMut(&mut [f32], &[f32], &mut [f32]),
+) -> (f64, bool) {
+    const BLOCK: usize = 256;
+    let max = [0.0f32; BLOCK];
+    let mut sum = [0.0f32; BLOCK];
+    let mut data = logits.to_vec();
+    let t = best_of(15, || {
+        data.copy_from_slice(logits);
+        for row in data.chunks_mut(BLOCK) {
+            let n = row.len();
+            exp_row(black_box(row), &max[..n], &mut sum[..n]);
+        }
+        black_box(&mut sum);
+    });
+    let same = data
+        .iter()
+        .zip(expect)
+        .all(|(x, y)| x.to_bits() == y.to_bits());
+    (t * 1e9 / logits.len() as f64, same)
+}
+
+fn print_exp_tiers(tiers: &[&'static Kernels]) {
+    eprintln!(
+        "\n===== P4e: softmax exp rows per tier (exp_sub_sum, one 128x128 tile's softmax) ====="
+    );
+    // The middle sweep of `softmax_in_place` over a 128x128 tile of the
+    // paper config: per 256-pixel block, one `exp(x - max)` row with
+    // its running sum per class.
+    let cfg = MsdNetConfig::default_uavid();
+    let logits: Vec<f32> = fill(21, cfg.classes * 128 * 128)
+        .iter()
+        .map(|v| -12.0 * v.abs())
+        .collect();
+    let mut expect = logits.clone();
+    let mut sum = [0.0f32; 256];
+    for row in expect.chunks_mut(256) {
+        el_kernels::exp::exp_sub_sum_portable(row, &[0.0; 256][..row.len()], &mut sum[..row.len()]);
+    }
+    let (libm_ns, libm_same) = exp_sweep(&logits, &expect, |row, max, sum| {
+        for ((v, &m), s) in row.iter_mut().zip(max).zip(sum.iter_mut()) {
+            let e = (*v - m).exp();
+            *v = e;
+            *s += e;
+        }
+    });
+    eprintln!(
+        "{:>10}: {:>7.2} ns/element (bits equal portable's: {})",
+        "f32::exp",
+        libm_ns,
+        if libm_same { "yes" } else { "no" }
+    );
+    let mut portable_ns = f64::NAN;
+    for kernels in tiers {
+        let (ns, same) = exp_sweep(&logits, &expect, |row, max, sum| {
+            kernels.exp_sub_sum(row, max, sum)
+        });
+        assert!(
+            same,
+            "{} exp rows diverged — the comparison is meaningless",
+            kernels.tier().name()
+        );
+        if kernels.tier() == KernelTier::Portable {
+            portable_ns = ns;
+        }
+        eprintln!(
+            "{:>10}: {:>7.2} ns/element   {:>5.2}x portable   {:>5.2}x f32::exp",
+            kernels.tier().name(),
+            ns,
+            portable_ns / ns,
+            libm_ns / ns
+        );
+    }
+}
+
 fn print_chacha_tiers(tiers: &[&'static Kernels]) {
     eprintln!("\n===== P4c: ChaCha8 refill per tier =====");
     let key: [u32; 8] = core::array::from_fn(|i| 0x9E37_79B9u32.wrapping_mul(i as u32 + 1));
@@ -274,5 +356,6 @@ fn main() {
     print_gemm_tiers(&tiers);
     print_mask_tiers(&tiers);
     print_welford_tiers(&tiers);
+    print_exp_tiers(&tiers);
     print_chacha_tiers(&tiers);
 }

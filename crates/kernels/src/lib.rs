@@ -2,16 +2,16 @@
 //!
 //! Every SIMD hot path of the workspace — the register-blocked GEMM
 //! micro-kernel behind the convolutions, the coordinate-keyed
-//! Monte-Carlo mask hash, the vendored ChaCha8 block function, and the
+//! Monte-Carlo mask hash, the vendored ChaCha8 block function, the
 //! per-pixel Welford statistics fold behind the monitor's Monte-Carlo
-//! mean/σ — lowers through one dispatch table defined here. The table
-//! exists at five **tiers**:
+//! mean/σ, and the softmax exponential — lowers through one dispatch
+//! table defined here. The table exists at five **tiers**:
 //!
 //! | tier       | ISA                | availability                     |
 //! |------------|--------------------|----------------------------------|
 //! | `portable` | scalar / autovec   | every target (the ground truth)  |
 //! | `sse2`     | SSE2               | x86_64 baseline                  |
-//! | `avx2`     | AVX2               | runtime-detected on x86_64       |
+//! | `avx2`     | AVX2 + FMA         | runtime-detected on x86_64       |
 //! | `avx512`   | AVX-512F           | runtime-detected on x86_64       |
 //! | `neon`     | NEON               | aarch64 baseline                 |
 //!
@@ -37,6 +37,12 @@
 //!   subtract/multiply/add sequence (the single `1 / n` rounding happens
 //!   before the lanes; never FMA) — lanes map onto pixels, whose
 //!   accumulate order across samples the monitor fixes.
+//! - The `exp` kernels evaluate glibc's `expf` algorithm
+//!   ([`exp::expf`]) with the identical `f64` operation sequence per
+//!   lane. Its five multiply-adds are fused on every tier — the
+//!   ladder's one deliberate FMA, deterministic because a fused
+//!   multiply-add is correctly rounded — and an exhaustive test proves
+//!   the port equal to x86_64 glibc's `expf` on all 2^32 inputs.
 //!
 //! The contract is property-tested across random shapes — including
 //! k-tails, column tails and single-column edge cases — for every tier
@@ -50,6 +56,7 @@
 
 pub mod approx;
 pub mod chacha;
+pub mod exp;
 pub mod gemm;
 pub mod mask;
 pub mod welford;
@@ -175,7 +182,11 @@ impl KernelTier {
             #[cfg(target_arch = "x86_64")]
             KernelTier::Sse2 => true, // x86_64 baseline
             #[cfg(target_arch = "x86_64")]
-            KernelTier::Avx2 => std::arch::is_x86_feature_detected!("avx2"),
+            // The avx2 `exp` row needs fused multiply-add as well.
+            KernelTier::Avx2 => {
+                std::arch::is_x86_feature_detected!("avx2")
+                    && std::arch::is_x86_feature_detected!("fma")
+            }
             #[cfg(target_arch = "x86_64")]
             KernelTier::Avx512 => std::arch::is_x86_feature_detected!("avx512f"),
             #[cfg(target_arch = "aarch64")]
@@ -485,6 +496,7 @@ pub struct Kernels {
     welford_push: WelfordPushFn,
     welford_push2: WelfordPush2Fn,
     welford_merge: WelfordMergeFn,
+    exp_sub_sum: ExpSubSumFn,
 }
 
 /// `gemm_bias(a, b, bias, out, m, k_dim, n)` — see [`Kernels::gemm_bias`].
@@ -505,6 +517,8 @@ pub type WelfordPush2Fn = fn(&mut [f32], &mut [f32], &[f32], &[f32], f32);
 /// `welford_merge(mean_a, m2_a, mean_b, m2_b, w_mean, w_m2)` — see
 /// [`Kernels::welford_merge`].
 pub type WelfordMergeFn = fn(&mut [f32], &mut [f32], &[f32], &[f32], f32, f32);
+/// `exp_sub_sum(row, max, sum)` — see [`Kernels::exp_sub_sum`].
+pub type ExpSubSumFn = fn(&mut [f32], &[f32], &mut [f32]);
 
 static PORTABLE: Kernels = Kernels {
     tier: KernelTier::Portable,
@@ -515,6 +529,7 @@ static PORTABLE: Kernels = Kernels {
     welford_push: welford::welford_push_portable,
     welford_push2: welford::welford_push2_portable,
     welford_merge: welford::welford_merge_portable,
+    exp_sub_sum: exp::exp_sub_sum_portable,
 };
 
 #[cfg(target_arch = "x86_64")]
@@ -527,6 +542,7 @@ static SSE2: Kernels = Kernels {
     welford_push: welford::welford_push_sse2,
     welford_push2: welford::welford_push2_sse2,
     welford_merge: welford::welford_merge_sse2,
+    exp_sub_sum: exp::exp_sub_sum_portable,
 };
 
 #[cfg(target_arch = "x86_64")]
@@ -539,6 +555,7 @@ static AVX2: Kernels = Kernels {
     welford_push: welford::welford_push_avx2,
     welford_push2: welford::welford_push2_avx2,
     welford_merge: welford::welford_merge_avx2,
+    exp_sub_sum: exp::exp_sub_sum_avx2,
 };
 
 #[cfg(target_arch = "x86_64")]
@@ -551,6 +568,7 @@ static AVX512: Kernels = Kernels {
     welford_push: welford::welford_push_avx512,
     welford_push2: welford::welford_push2_avx512,
     welford_merge: welford::welford_merge_avx512,
+    exp_sub_sum: exp::exp_sub_sum_avx512,
 };
 
 #[cfg(target_arch = "aarch64")]
@@ -563,6 +581,7 @@ static NEON: Kernels = Kernels {
     welford_push: welford::welford_push_neon,
     welford_push2: welford::welford_push2_neon,
     welford_merge: welford::welford_merge_neon,
+    exp_sub_sum: exp::exp_sub_sum_neon,
 };
 
 fn table(tier: KernelTier) -> Option<&'static Kernels> {
@@ -791,6 +810,24 @@ impl Kernels {
             "welford merge length mismatch"
         );
         (self.welford_merge)(mean_a, m2_a, mean_b, m2_b, w_mean, w_m2)
+    }
+
+    /// The softmax exponential over one class row, lane-wise:
+    /// `row[i] = exp(row[i] - max[i])`, then `sum[i] += row[i]`. The
+    /// `exp` is [`exp::expf`] — glibc's `expf` algorithm, bit-identical
+    /// to it on x86_64 — and every tier reproduces
+    /// [`exp::exp_sub_sum_portable`] bit for bit.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the three slices differ in length.
+    #[inline]
+    pub fn exp_sub_sum(&self, row: &mut [f32], max: &[f32], sum: &mut [f32]) {
+        assert!(
+            row.len() == max.len() && row.len() == sum.len(),
+            "exp_sub_sum length mismatch"
+        );
+        (self.exp_sub_sum)(row, max, sum)
     }
 }
 

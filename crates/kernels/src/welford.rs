@@ -48,14 +48,12 @@
 //! kernels broadcast them, which is bit-identical to recomputing them
 //! per element.
 //!
-//! The softmax that *precedes* the fold stays outside the tier ladder
-//! by design: its `exp()` is a libm call with no lane-reproducible
-//! vector counterpart, so a per-tier vector `exp` would break the
-//! cross-tier contract. `el_nn::loss::softmax_in_place` instead walks
-//! the `(classes, pixels)` slab in cache order — pixel blocks with the
-//! class loop outer and stack-resident max/sum rows — which keeps each
-//! pixel's operation order, hence its bits, while every pass reads a
-//! class plane contiguously rather than striding across planes.
+//! The softmax that *precedes* the fold runs its `exp` sweep on the
+//! ladder too ([`crate::exp`]): a port of glibc's `expf` whose fused
+//! multiply-adds are correctly rounded, so every tier reproduces it
+//! bit for bit, and an exhaustive test proves it equal to x86_64
+//! glibc's `expf` on all 2^32 inputs. That kernel is the one place the
+//! ladder fuses; the fold above never does.
 
 /// A 64-byte-aligned `f32` buffer for Welford `mean`/`m2` slabs.
 ///

@@ -38,10 +38,17 @@ const SOFTMAX_BLOCK: usize = 256;
 /// class order, then `exp(x - max)` summed in class order, then one
 /// division per class — so the result is bit-identical to a per-pixel
 /// loop (property-tested against one).
+///
+/// The middle sweep runs on the kernel ladder
+/// ([`el_kernels::Kernels::exp_sub_sum`]): a vectorised port of glibc's
+/// `expf` that every tier evaluates bit-identically and that equals
+/// x86_64 glibc's `f32::exp` on every input, so the output does not
+/// depend on the tier or on the platform libm.
 pub fn softmax_in_place(logits: &mut Tensor) {
     let (c, h, w) = logits.shape();
     let hw = h * w;
     let data = logits.as_mut_slice();
+    let kernels = el_kernels::active();
     let mut max_row = [0.0f32; SOFTMAX_BLOCK];
     let mut sum_row = [0.0f32; SOFTMAX_BLOCK];
     let mut p0 = 0usize;
@@ -56,15 +63,7 @@ pub fn softmax_in_place(logits: &mut Tensor) {
         }
         sum.fill(0.0);
         for k in 0..c {
-            let row = &mut data[k * hw + p0..][..n];
-            for ((v, &m), s) in row.iter_mut().zip(max.iter()).zip(sum.iter_mut()) {
-                // exp(±0) is exactly 1 (IEEE 754 / C Annex F), so the
-                // pixel's maximum skips the libm call.
-                let d = *v - m;
-                let e = if d == 0.0 { 1.0 } else { d.exp() };
-                *v = e;
-                *s += e;
-            }
+            kernels.exp_sub_sum(&mut data[k * hw + p0..][..n], max, sum);
         }
         for k in 0..c {
             for (v, &s) in data[k * hw + p0..][..n].iter_mut().zip(sum.iter()) {

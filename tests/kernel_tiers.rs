@@ -1,13 +1,14 @@
 //! Cross-tier bit-identity: the kernel-dispatch contract, fuzzed.
 //!
-//! For **every kernel tier the host CPU supports**, the four dispatched
+//! For **every kernel tier the host CPU supports**, the five dispatched
 //! hot paths — the GEMM micro-kernel, the coordinate-keyed mask rows,
-//! the ChaCha8 block function and the Welford statistics fold — must
-//! reproduce the portable reference **bit for bit** over hundreds of
-//! random shapes, deliberately skewed toward the remainder paths
-//! (k-tails, column tails, odd widths, single-column outputs, 1-pixel
-//! slabs). CI pins each x86 tier with `EL_FORCE_KERNEL` in a matrix job
-//! and executes the NEON tier under qemu, so these properties execute on
+//! the ChaCha8 block function, the Welford statistics fold and the
+//! softmax `exp` rows — must reproduce the portable reference **bit for
+//! bit** over hundreds of random shapes, deliberately skewed toward the
+//! remainder paths (k-tails, column tails, odd widths, single-column
+//! outputs, 1-pixel slabs) and, for `exp`, toward special values. CI
+//! pins each x86 tier with `EL_FORCE_KERNEL` in a matrix job and
+//! executes the NEON tier under qemu, so these properties execute on
 //! every rung of the ladder on every push — not just whichever tier the
 //! runner detects.
 //!
@@ -15,7 +16,9 @@
 //! must be **rejected with a clear error**, never silently downgraded.
 //! And the contract must hold all the way up the stack: a forced tier
 //! reproduces the whole monitor's `bayesian_segment` output bit for bit
-//! (checked by spawning this test binary once per supported tier).
+//! (checked by spawning this test binary once per supported tier), and
+//! `softmax_in_place` output is pinned to a committed hash, so every
+//! architecture must produce the same softmax bits.
 
 use el_kernels::chacha::REFILL_WORDS;
 use el_kernels::{chacha, gemm, mask, resolve, welford, KernelError, KernelTier, Kernels};
@@ -261,6 +264,141 @@ fn welford_every_tier_matches_portable_over_random_shapes() {
     }
 }
 
+/// One `exp` fuzz input, skewed toward the special-case machinery:
+/// signed zeros, infinities, subnormals, quiet and signalling NaNs of
+/// both signs, both sides (±1 ulp) of the 88.0 special-lane cutoff and
+/// of the −103.97 underflow and 88.72 overflow cutoffs, random bit
+/// patterns, and ordinary softmax differences.
+fn exp_input(rng: &mut ChaCha8Rng) -> f32 {
+    const EDGES: [u32; 16] = [
+        0x0000_0000, // +0
+        0x8000_0000, // -0
+        0x7F80_0000, // +inf
+        0xFF80_0000, // -inf
+        0x0000_0001, // subnormals
+        0x8000_0001,
+        0x007F_FFFF,
+        0x807F_FFFF,
+        0x7FC0_0000, // quiet NaNs
+        0xFFC0_0000,
+        0x7FC1_2345,
+        0xFFEA_BCDE,
+        0x7F80_0001, // signalling NaNs
+        0xFF80_0001,
+        0x7FA0_5A5A,
+        0xFF9F_FFFF,
+    ];
+    const CUTOFFS: [u32; 4] = [
+        0x42B0_0000, // 88.0: lanes with |x| at or above it take the scalar path
+        0xC2B0_0000, // -88.0
+        0xC2CF_F1B4, // -103.97: the last input with a nonzero result
+        0x42B1_7217, // 88.72: the last input with a finite result
+    ];
+    match rng.next_u32() % 8 {
+        0 | 1 => f32::from_bits(EDGES[(rng.next_u32() % 16) as usize]),
+        2 | 3 => {
+            let c = CUTOFFS[(rng.next_u32() % 4) as usize];
+            f32::from_bits(c.wrapping_add(rng.next_u32() % 3).wrapping_sub(1))
+        }
+        4 => f32::from_bits(rng.next_u32()),
+        _ => rng.gen::<f32>() * 240.0 - 140.0,
+    }
+}
+
+#[test]
+fn exp_every_tier_matches_portable_over_special_rows() {
+    let mut rng = ChaCha8Rng::seed_from_u64(0xE4_9F32);
+    let tiers = simd_tiers();
+    // Every length through the widest kernel's tails, the 256-pixel
+    // softmax block and its neighbours, and a long row.
+    let lengths = (0..=40usize).chain(255..=257).chain([1000]);
+    for len in lengths {
+        for rep in 0..3 {
+            let row: Vec<f32> = (0..len).map(|_| exp_input(&mut rng)).collect();
+            // Mostly zero maxima (the row value reaches the kernel
+            // unchanged), with -inf, NaN and ordinary maxima mixed in.
+            let max: Vec<f32> = (0..len)
+                .map(|_| match rng.next_u32() % 10 {
+                    0 => f32::NEG_INFINITY,
+                    1 => f32::from_bits(0x7FC0_0000 | (rng.next_u32() & 0x803F_FFFF)),
+                    2 | 3 => rng.gen::<f32>() * 60.0 - 20.0,
+                    _ => 0.0,
+                })
+                .collect();
+            let sum0 = random_f32s(&mut rng, len);
+            let (mut er, mut es) = (row.clone(), sum0.clone());
+            el_kernels::exp::exp_sub_sum_portable(&mut er, &max, &mut es);
+            for kernels in &tiers {
+                let (mut gr, mut gs) = (row.clone(), sum0.clone());
+                kernels.exp_sub_sum(&mut gr, &max, &mut gs);
+                assert_eq!(
+                    bits(&gr),
+                    bits(&er),
+                    "{} exp row diverges from portable (len {len}, rep {rep})",
+                    kernels.tier().name()
+                );
+                assert_eq!(
+                    bits(&gs),
+                    bits(&es),
+                    "{} exp sum diverges from portable (len {len}, rep {rep})",
+                    kernels.tier().name()
+                );
+            }
+        }
+    }
+}
+
+/// The committed FNV-1a hash of [`softmax_fingerprint`]. Softmax runs
+/// through the `exp` kernel, whose portable reference calls no libm
+/// approximation (only the correctly rounded `fma`), so every
+/// architecture and tier must produce exactly these bits; the aarch64
+/// CI job checks it under qemu. The libm-based softmax the kernel
+/// replaced gave the same hash on x86_64.
+const SOFTMAX_FINGERPRINT: u64 = 0xA722_6C3C_22F4_54C4;
+
+/// FNV-1a over `softmax_in_place` outputs for a fixed set of logits:
+/// 1–8 classes, pixel counts straddling the 256-pixel block, and logits
+/// that hit every `exp` path — ordinary differences, differences past
+/// the −88 special-lane and −103.97 underflow cutoffs, `±inf`, huge
+/// magnitudes, exact ties and NaN. A NaN output is hashed as one value:
+/// the NaN that `-inf - -inf` creates is negative on x86 and positive
+/// on Arm, and only that sign, not the softmax, differs there.
+fn softmax_fingerprint() -> u64 {
+    use el_nn::{loss::softmax_in_place, Tensor};
+    let mut rng = ChaCha8Rng::seed_from_u64(0x50F7_3A11);
+    let mut h = 0xCBF2_9CE4_8422_2325u64;
+    for case in 0..48usize {
+        let classes = 1 + case % 8;
+        let pixels = [1usize, 17, 255, 256, 257, 600][case % 6];
+        let mut logits = Tensor::from_fn(classes, 1, pixels, |_, _, _| match rng.next_u32() % 12 {
+            0 => f32::NEG_INFINITY,
+            1 => f32::INFINITY,
+            2 => f32::NAN,
+            3 => rng.gen_range(-1.5e38f32..1.5e38),
+            4 => -95.0 - rng.gen::<f32>() * 20.0,
+            5 => 0.5,
+            _ => rng.gen_range(-20.0f32..20.0),
+        });
+        softmax_in_place(&mut logits);
+        for &v in logits.as_slice() {
+            let b = if v.is_nan() { 0x7FC0_0000 } else { v.to_bits() };
+            h ^= b as u64;
+            h = h.wrapping_mul(0x1_0000_0000_01B3);
+        }
+    }
+    h
+}
+
+#[test]
+fn softmax_bits_are_pinned_across_architectures() {
+    assert_eq!(
+        softmax_fingerprint(),
+        SOFTMAX_FINGERPRINT,
+        "softmax output changed: got {:#018x}",
+        softmax_fingerprint()
+    );
+}
+
 /// FNV-1a over the bit patterns of the monitor's statistics for a fixed
 /// pair of Monte-Carlo verifications — the whole-engine fingerprint the
 /// cross-tier test compares between forced-tier processes. Covers both
@@ -305,8 +443,8 @@ fn bayesian_segment_bit_identical_under_every_forced_tier() {
     // once per supported tier with EL_FORCE_KERNEL pinned (the active
     // dispatch table is resolved once per process, so distinct tiers
     // need distinct processes) and demand the identical whole-engine
-    // fingerprint — GEMM, masks, ChaCha and the Welford fold all forced
-    // through the named rung.
+    // fingerprint — GEMM, masks, ChaCha, the Welford fold and the
+    // softmax exp all forced through the named rung.
     let local = bayes_fingerprint();
     let exe = std::env::current_exe().expect("test binary path");
     for tier in KernelTier::supported() {

@@ -12,8 +12,9 @@
 //!   fingerprint entry.
 //!
 //! Fingerprints here are *self-relative* (this build against itself):
-//! absolute golden values are pinned only in the x86_64 CI scenario step,
-//! because qemu/aarch64 libm rounding may differ across hosts.
+//! the absolute golden values are checked by the CI scenario replays,
+//! which run on x86_64 and, under qemu, on aarch64 against the same
+//! `scenarios/goldens.json`.
 
 use std::sync::Mutex;
 
